@@ -55,7 +55,7 @@ def _table_unigram_bag(doc, abbrevs):
     tokens = []
     for row in doc.grid:
         for cell in row:
-            tokens.extend(textnorm.normalize(cell.text, abbrevs))
+            tokens.extend(textnorm.normalize(cell, abbrevs))
     tokens.extend(textnorm.normalize(doc.caption, abbrevs))
     return set(tokens)
 

@@ -78,7 +78,7 @@ def linearize(statement, table, snap, abbrevs=None):
     for i, cell in enumerate(cells):
         if i:
             tokens.append(SEP_CELL)
-        tokens.extend(textnorm.normalize(cell.text, abbrevs, stemming=False))
+        tokens.extend(textnorm.normalize(cell, abbrevs, stemming=False))
     return LinearizedInput(tuple(tokens))
 
 

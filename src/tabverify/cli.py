@@ -12,7 +12,6 @@ Log level comes from the TABFACT_KIT_LOG environment variable.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import logging
@@ -60,19 +59,22 @@ def _write_jsonl(records, path):
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path):
+def _read_jsonl(path, convert):
+    """Yield convert(obj) for each non-blank line; a bad line is reported as
+    ``path:line: reason``."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
-
-
-def _map_tables(fn, docs, jobs):
-    """Apply fn to each table, in order, optionally across processes."""
-    if jobs <= 1:
-        return [fn(doc) for doc in docs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, docs))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                item = convert(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError, corpus.CorpusError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield item
 
 
 def cmd_parse(args):
@@ -142,46 +144,27 @@ def cmd_augment(args):
     return 0
 
 
-def _snapshot_table(task):
-    doc, r_rows, n_values, abbrevs = task
-    records = []
-    for st in doc.statements:
-        snap = snapshot.select_snapshot(doc, st, r_rows, n_values, abbrevs)
-        records.append({"table_id": snap.table_id, "stmt_id": snap.stmt_id,
-                        "rows": list(snap.row_indices), "k": snap.k})
-    return records
-
-
 def cmd_snapshot(args):
     docs = corpus.read_corpus(args.corpus)
-    r_rows = args.rows_r if args.rows_r else snapshot.median_row_count(docs)
-    r_rows = max(1, r_rows)
+    r_rows = max(1, args.rows_r or snapshot.median_row_count(docs))
     n_values = _parse_ngrams(args.ngrams)
     abbrevs = _load_abbrevs(args.abbrev_file)
-    tasks = [(doc, r_rows, n_values, abbrevs) for doc in docs]
-    per_table = _map_tables(_snapshot_table, tasks, args.jobs)
-    _write_jsonl((rec for records in per_table for rec in records), args.out)
+    records = []
+    for doc in docs:
+        for st in doc.statements:
+            snap = snapshot.select_snapshot(doc, st, r_rows, n_values, abbrevs)
+            records.append({"table_id": snap.table_id, "stmt_id": snap.stmt_id,
+                            "rows": list(snap.row_indices), "k": snap.k})
+    _write_jsonl(records, args.out)
     _write_manifest(args.out, "snapshot", {
         "corpus": args.corpus, "rows_r": r_rows, "ngrams": list(n_values)})
     return 0
 
 
 def _read_snapshots(path):
-    snaps = {}
-    for obj in _read_jsonl(path):
-        snaps[(obj["table_id"], obj["stmt_id"])] = snapshot.Snapshot(
-            obj["table_id"], obj["stmt_id"], tuple(obj["rows"]), obj["k"])
-    return snaps
-
-
-def _baseline_table(task):
-    doc, snaps, n_values, abbrevs, model_name = task
-    out = []
-    for st in doc.statements:
-        snap = snaps[(doc.table_id, st.stmt_id)]
-        out.append(classify.lexical_baseline(st, doc, snap, abbrevs,
-                                             n_values, model_name))
-    return out
+    return {(snap.table_id, snap.stmt_id): snap for snap in _read_jsonl(
+        path, lambda obj: snapshot.Snapshot(obj["table_id"], obj["stmt_id"],
+                                            tuple(obj["rows"]), obj["k"]))}
 
 
 def cmd_baseline(args):
@@ -189,9 +172,16 @@ def cmd_baseline(args):
     snaps = _read_snapshots(args.snapshots)
     n_values = _parse_ngrams(args.ngrams)
     abbrevs = _load_abbrevs(args.abbrev_file)
-    tasks = [(doc, snaps, n_values, abbrevs, args.model_name) for doc in docs]
-    per_table = _map_tables(_baseline_table, tasks, args.jobs)
-    classify.write_scores((sv for svs in per_table for sv in svs), args.out)
+    score_vectors = []
+    for doc in docs:
+        for st in doc.statements:
+            snap = snaps.get((doc.table_id, st.stmt_id))
+            if snap is None:
+                raise ValueError(f"{args.snapshots}: no snapshot for table "
+                                 f"{doc.table_id!r} statement {st.stmt_id!r}")
+            score_vectors.append(classify.lexical_baseline(
+                st, doc, snap, abbrevs, n_values, args.model_name))
+    classify.write_scores(score_vectors, args.out)
     _write_manifest(args.out, "baseline", {
         "corpus": args.corpus, "snapshots": args.snapshots,
         "ngrams": list(n_values), "model_name": args.model_name})
@@ -255,41 +245,33 @@ def cmd_predict(args):
 
 
 def _read_predictions(path):
-    return {(obj["table_id"], obj["stmt_id"]): corpus.Label.parse(obj["label"])
-            for obj in _read_jsonl(path)}
-
-
-def _evidence_table(task):
-    doc, labels, abbrevs, use_gold, with_trace = task
-    records = []
-    for st in doc.statements:
-        label = st.gold_label if use_gold else labels.get((doc.table_id, st.stmt_id))
-        if label is None or label == corpus.Label.UNKNOWN:
-            # Unknown statements are outside the rule engine; emit an
-            # all-irrelevant map so downstream scoring has full coverage.
-            verdicts = tuple(tuple(False for _ in range(doc.n_cols))
-                             for _ in range(doc.n_rows))
-            trace = None
-        else:
-            emap, rtrace = evidence.find_evidence(st, doc, label, abbrevs)
-            verdicts = emap.verdicts
-            trace = rtrace.cells if with_trace else None
-        rec = {"table_id": doc.table_id, "stmt_id": st.stmt_id,
-               "n_rows": doc.n_rows, "n_cols": doc.n_cols,
-               "relevant_rle": evidence.rle_encode(verdicts)}
-        if with_trace and trace is not None:
-            rec["trace"] = [[list(cell) for cell in row] for row in trace]
-        records.append(rec)
-    return records
+    return dict(_read_jsonl(path, lambda obj: (
+        (obj["table_id"], obj["stmt_id"]), corpus.Label.parse(obj["label"]))))
 
 
 def cmd_evidence(args):
     docs = corpus.read_corpus(args.corpus)
     labels = {} if args.use_gold_taska else _read_predictions(args.predictions)
     abbrevs = _load_abbrevs(args.abbrev_file)
-    tasks = [(doc, labels, abbrevs, args.use_gold_taska, args.trace) for doc in docs]
-    per_table = _map_tables(_evidence_table, tasks, args.jobs)
-    _write_jsonl((rec for recs in per_table for rec in recs), args.out)
+    records = []
+    for doc in docs:
+        for st in doc.statements:
+            label = (st.gold_label if args.use_gold_taska
+                     else labels.get((doc.table_id, st.stmt_id)))
+            rec = {"table_id": doc.table_id, "stmt_id": st.stmt_id,
+                   "n_rows": doc.n_rows, "n_cols": doc.n_cols}
+            if label is None or label == corpus.Label.UNKNOWN:
+                # Unknown statements are outside the rule engine; emit an
+                # all-irrelevant map so downstream scoring has full coverage.
+                verdicts = ((False,) * doc.n_cols,) * doc.n_rows
+            else:
+                emap, rtrace = evidence.find_evidence(st, doc, label, abbrevs)
+                verdicts = emap.verdicts
+                if args.trace:
+                    rec["trace"] = [[list(cell) for cell in row] for row in rtrace.cells]
+            rec["relevant_rle"] = evidence.rle_encode(verdicts)
+            records.append(rec)
+    _write_jsonl(records, args.out)
     _write_manifest(args.out, "evidence", {
         "corpus": args.corpus, "predictions": args.predictions,
         "use_gold_taska": args.use_gold_taska})
@@ -297,11 +279,9 @@ def cmd_evidence(args):
 
 
 def _read_evidence(path):
-    maps = {}
-    for obj in _read_jsonl(path):
-        maps[(obj["table_id"], obj["stmt_id"])] = evidence.rle_decode(
-            obj["relevant_rle"], obj["n_rows"], obj["n_cols"])
-    return maps
+    return dict(_read_jsonl(path, lambda obj: (
+        (obj["table_id"], obj["stmt_id"]),
+        evidence.rle_decode(obj["relevant_rle"], obj["n_rows"], obj["n_cols"]))))
 
 
 def cmd_score(args):
@@ -357,7 +337,6 @@ def build_parser():
     p.add_argument("--rows-R", dest="rows_r", type=int, default=None)
     p.add_argument("--ngrams", default="1,2")
     p.add_argument("--abbrev-file", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_snapshot)
 
     p = sub.add_parser("baseline", help="run the lexical baseline classifier")
@@ -367,7 +346,6 @@ def build_parser():
     p.add_argument("--ngrams", default="1,2")
     p.add_argument("--abbrev-file", default=None)
     p.add_argument("--model-name", default="lexical")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_baseline)
 
     p = sub.add_parser("ensemble-train", help="train the vote layer on score files")
@@ -395,7 +373,6 @@ def build_parser():
     p.add_argument("--use-gold-taskA", dest="use_gold_taska", action="store_true")
     p.add_argument("--abbrev-file", default=None)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_evidence)
 
     p = sub.add_parser("score", help="task A / task B reports")
@@ -403,9 +380,7 @@ def build_parser():
     p.add_argument("--preds", default=None)
     p.add_argument("--evidence", default=None)
     p.add_argument("--out", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--macro", action="store_true", default=True)
-    group.add_argument("--micro", action="store_true", default=False)
+    p.add_argument("--micro", action="store_true")
     p.set_defaults(fn=cmd_score)
 
     return parser

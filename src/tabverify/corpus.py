@@ -18,7 +18,7 @@ XML schema (one table per file):
       </table>
     </document>
 
-Ragged rows are padded on the right with empty-text cells so every grid is
+Ragged rows are padded on the right with empty strings so every grid is
 rectangular.  All types are immutable after construction.
 """
 
@@ -64,15 +64,8 @@ class Label(enum.Enum):
     def parse(cls, value):
         try:
             return cls(value.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise SchemaError(f"unrecognized label: {value!r}") from None
-
-
-@dataclass(frozen=True)
-class Cell:
-    row: int
-    col: int
-    text: str
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,7 @@ class TableDocument:
     table_id: str
     caption: str
     legend: str
-    grid: tuple  # tuple of rows; each row a tuple of Cell
+    grid: tuple  # tuple of rows; each row a tuple of str
     header_rows: int
     statements: tuple  # tuple of Statement
 
@@ -114,13 +107,9 @@ class TableDocument:
 
 
 def _build_grid(rows_text):
-    """Pad ragged rows on the right with empty cells; returns a Cell grid."""
+    """Pad ragged rows on the right with empty strings."""
     width = max((len(r) for r in rows_text), default=0)
-    grid = []
-    for r, texts in enumerate(rows_text):
-        padded = list(texts) + [""] * (width - len(texts))
-        grid.append(tuple(Cell(r, c, t) for c, t in enumerate(padded)))
-    return tuple(grid)
+    return tuple(tuple(texts) + ("",) * (width - len(texts)) for texts in rows_text)
 
 
 def _check_statements(grid, statements, table_id):
@@ -155,6 +144,14 @@ def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, sta
     return TableDocument(doc_id, table_id, caption, legend, grid, header_rows, statements)
 
 
+def _int_attr(elem, name, default=None):
+    value = elem.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"<{elem.tag}> {name}={value!r} is not an integer") from None
+
+
 def _elem_text(parent, tag):
     elem = parent.find(tag)
     if elem is None:
@@ -179,7 +176,7 @@ def parse_xml(data):
     table_id = table.get("id")
     if not table_id:
         raise SchemaError("missing table id")
-    header_rows = int(table.get("header_rows", "1"))
+    header_rows = _int_attr(table, "header_rows", "1")
 
     rows_text = []
     for row in table.findall("row"):
@@ -199,7 +196,7 @@ def parse_xml(data):
             versions = []
             for ev in st.findall("evidence"):
                 cells = frozenset(
-                    (int(c.get("row")), int(c.get("col"))) for c in ev.findall("cell")
+                    (_int_attr(c, "row"), _int_attr(c, "col")) for c in ev.findall("cell")
                 )
                 versions.append(EvidenceVersion(cells))
             statements.append(Statement(
@@ -247,7 +244,7 @@ def to_interchange(doc):
         "table_id": doc.table_id,
         "caption": doc.caption,
         "legend": doc.legend,
-        "grid": [[cell.text for cell in row] for row in doc.grid],
+        "grid": doc.grid,
         "header_rows": doc.header_rows,
         "statements": [_statement_to_json(st) for st in doc.statements],
     }
@@ -340,7 +337,7 @@ def corpus_stats(corpus):
     for doc in corpus:
         row_counts.append(doc.n_rows)
         for row in doc.grid:
-            row_tokens.append(len(" ".join(cell.text for cell in row).split()))
+            row_tokens.append(len(" ".join(row).split()))
         for st in doc.statements:
             stmt_tokens.append(len(st.text.split()))
             if st.gold_label is not None:

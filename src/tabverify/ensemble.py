@@ -14,7 +14,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .corpus import Label
 from .classify import CLASS_ORDER
 
 N_CLASSES = 3
@@ -132,6 +131,16 @@ def predict(layer, features):
     return CLASS_ORDER[int(np.argmax(probs))]
 
 
+def _design(examples):
+    """Feature matrix and one-hot targets (CLASS_ORDER columns) for a list
+    of (feature vector, gold Label)."""
+    x = np.asarray([f for f, _ in examples], dtype=float)
+    y = np.zeros((len(examples), N_CLASSES))
+    for i, (_, label) in enumerate(examples):
+        y[i, CLASS_ORDER.index(label)] = 1.0
+    return x, y
+
+
 def _loss_and_grads(weights, bias, x, y_onehot, l2):
     n = x.shape[0]
     probs = _softmax(x @ weights.T + bias)
@@ -151,15 +160,11 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
     """
     if not examples:
         raise EnsembleError("no training examples")
-    x = np.asarray([f for f, _ in examples], dtype=float)
+    x, y = _design(examples)
     if x.ndim != 2 or x.shape[1] != N_CLASSES * len(model_names):
         raise EnsembleError(
             f"feature matrix shape {x.shape} inconsistent with "
             f"{len(model_names)} models")
-    class_index = {label: i for i, label in enumerate(CLASS_ORDER)}
-    y = np.zeros((x.shape[0], N_CLASSES))
-    for i, (_, label) in enumerate(examples):
-        y[i, class_index[label]] = 1.0
 
     weights = np.zeros((N_CLASSES, x.shape[1]))
     bias = np.zeros(N_CLASSES)
@@ -176,23 +181,13 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
 
 def loss(layer, examples, l2=0.0):
     """Training objective at a given layer; exposed for gradient checking."""
-    x = np.asarray([f for f, _ in examples], dtype=float)
-    class_index = {label: i for i, label in enumerate(CLASS_ORDER)}
-    y = np.zeros((x.shape[0], N_CLASSES))
-    for i, (_, label) in enumerate(examples):
-        y[i, class_index[label]] = 1.0
-    value, _, _ = _loss_and_grads(layer.weights, layer.bias, x, y, l2)
+    value, _, _ = _loss_and_grads(layer.weights, layer.bias, *_design(examples), l2)
     return value
 
 
 def gradients(layer, examples, l2=0.0):
     """Analytic gradient of `loss` with respect to (weights, bias)."""
-    x = np.asarray([f for f, _ in examples], dtype=float)
-    class_index = {label: i for i, label in enumerate(CLASS_ORDER)}
-    y = np.zeros((x.shape[0], N_CLASSES))
-    for i, (_, label) in enumerate(examples):
-        y[i, class_index[label]] = 1.0
-    _, grad_w, grad_b = _loss_and_grads(layer.weights, layer.bias, x, y, l2)
+    _, grad_w, grad_b = _loss_and_grads(layer.weights, layer.bias, *_design(examples), l2)
     return grad_w, grad_b
 
 
@@ -202,8 +197,7 @@ def majority_vote(score_vectors, layer=None):
     A plurality tie falls back to the trained layer's forward pass when one
     is supplied, otherwise to class order E > R > U.
     """
-    votes = [Label.ENTAILED, Label.REFUTED, Label.UNKNOWN]
-    counts = {label: 0 for label in votes}
+    counts = {label: 0 for label in CLASS_ORDER}
     for sv in score_vectors:
         counts[CLASS_ORDER[int(np.argmax(sv.scores))]] += 1
     best = max(counts.values())

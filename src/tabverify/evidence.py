@@ -58,7 +58,7 @@ def find_evidence(statement, table, taska_label, abbrevs=None):
                 RuleTrace(trace))
 
     bag = set(textnorm.normalize(statement.text, abbrevs))
-    cell_tokens = [[set(textnorm.normalize(cell.text, abbrevs)) for cell in row]
+    cell_tokens = [[set(textnorm.normalize(cell, abbrevs)) for cell in row]
                    for row in table.grid]
     header_rows = min(table.header_rows, n_rows)
     body = range(header_rows, n_rows)
@@ -112,6 +112,8 @@ def rle_decode(runs, n_rows, n_cols):
     flat = []
     current = False
     for count in runs:
+        if count < 0:
+            raise ValueError(f"negative run length {count}")
         flat.extend([current] * count)
         current = not current
     if len(flat) != n_rows * n_cols:

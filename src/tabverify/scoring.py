@@ -154,7 +154,7 @@ def _cell_prf(pred_set, gold_set):
 
 
 def score_task_b(pred_maps, gold_corpus):
-    """Cell-level F1 against multi-version gold evidence.
+    """Per-cell F1 against multi-version gold evidence.
 
     ``pred_maps`` maps (table_id, stmt_id) to either a set of (row, col)
     pairs or a grid-shaped verdict matrix.  Statement score is the best F1

@@ -35,8 +35,8 @@ def median_row_count(corpus, header_rows_excluded=True):
 
 
 def row_text(doc, row_index):
-    """Cell texts of one row joined with single spaces."""
-    return " ".join(cell.text for cell in doc.grid[row_index])
+    """The texts of one row joined with single spaces."""
+    return " ".join(doc.grid[row_index])
 
 
 def select_snapshot(table, statement, r_rows, n_values=DEFAULT_NGRAMS, abbrevs=None):

@@ -65,6 +65,9 @@ class TestParse:
         shutil.copy(fixtures_dir / "corpus" / "t1.xml", src / "t1.xml")
         shutil.copy(fixtures_dir / "corpus" / "t2.xml", src / "t2.xml")
         (src / "bad.xml").write_text("<document><table oops")
+        t3 = (fixtures_dir / "corpus" / "t3.xml").read_text()
+        (src / "bad_header.xml").write_text(t3.replace('header_rows="1"', 'header_rows="x"'))
+        (src / "bad_cell.xml").write_text(t3.replace('row="1" col="0"', 'row="1" col="0.5"', 1))
         out = tmp_path / "corpus.jsonl"
         assert run(["parse", str(src), str(out)]) == 1
         assert len(read_corpus(out)) == 2
@@ -124,14 +127,6 @@ class TestEndToEnd:
         # gold entailed statements short-circuit to all-relevant: recall 1
         assert report["task_b"]["overall"] > 0
 
-    def test_jobs_flag_matches_serial(self, fixtures_dir, tmp_path):
-        run_pipeline(fixtures_dir / "corpus", tmp_path)
-        w = str(tmp_path)
-        assert run(["snapshot", f"{w}/corpus.jsonl", f"{w}/snap2.jsonl",
-                    "--jobs", "2"]) == 0
-        assert (tmp_path / "snap2.jsonl").read_bytes() == \
-               (tmp_path / "snapshots.jsonl").read_bytes()
-
     def test_micro_flag(self, fixtures_dir, tmp_path):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
         w = str(tmp_path)
@@ -140,3 +135,32 @@ class TestEndToEnd:
                     "--out", f"{w}/report_micro.json"]) == 0
         micro = json.loads((tmp_path / "report_micro.json").read_text())
         assert 0 <= micro["task_a"]["overall_3way"] <= 1
+
+
+
+SCORE_PREDS = ["score", "--corpus", "{w}/corpus.jsonl", "--preds", "{w}/preds.jsonl",
+               "--out", "{w}/report2.json"]
+
+
+class TestJsonlBoundary:
+    @pytest.mark.parametrize("name, lineno, rewrite, argv, message", [
+        ("snapshots.jsonl", 6, lambda line: "",
+         ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{w}/scores2.jsonl"],
+         "{w}/snapshots.jsonl: no snapshot for table 't2' statement 's3'"),
+        ("preds.jsonl", 2,
+         lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "label"}),
+         SCORE_PREDS, "{w}/preds.jsonl:2: missing field 'label'"),
+        ("preds.jsonl", 2, lambda line: line.replace("}", ""),
+         SCORE_PREDS, "{w}/preds.jsonl:2: invalid JSON"),
+    ], ids=["missing-snapshot", "missing-field", "invalid-json"])
+    def test_bad_record_reports_location(self, fixtures_dir, tmp_path, capsys,
+                                         name, lineno, rewrite, argv, message):
+        run_pipeline(fixtures_dir / "corpus", tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = rewrite(lines[lineno - 1])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run([arg.format(w=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(w=tmp_path)), err

@@ -34,7 +34,7 @@ class TestParseXml:
             b'<row><cell text="c"/></row>'
             b'</table></document>')
         assert doc.n_cols == 2
-        assert doc.grid[1][1].text == ""
+        assert doc.grid[1][1] == ""
 
     def test_no_statements_section(self):
         doc = cp.parse_xml(b'<document id="d"><table id="t"><row><cell text="x"/></row></table></document>')

@@ -16,7 +16,7 @@ def brute_force(statement, table, abbrevs=None):
     header = min(table.header_rows, n_rows)
 
     def cell_has(r, c, word):
-        return word in tn.normalize(table.grid[r][c].text, abbrevs)
+        return word in tn.normalize(table.grid[r][c], abbrevs)
 
     relevant = [[False] * n_cols for _ in range(n_rows)]
     for r in range(n_rows):
@@ -173,3 +173,7 @@ class TestRle:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ev.rle_decode([3], 2, 2)
+
+    def test_negative_run_rejected(self):
+        with pytest.raises(ValueError):
+            ev.rle_decode([2, -1, 2, 1], 1, 5)
