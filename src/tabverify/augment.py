@@ -52,12 +52,8 @@ def merge_corpora(base, external, prefix="ext"):
 
 
 def _table_unigram_bag(doc, abbrevs):
-    tokens = []
-    for row in doc.grid:
-        for cell in row:
-            tokens.extend(textnorm.normalize(cell, abbrevs))
-    tokens.extend(textnorm.normalize(doc.caption, abbrevs))
-    return set(tokens)
+    cell_tokens = textnorm.TableView(doc, abbrevs).cell_index
+    return set(cell_tokens).union(textnorm.normalize(doc.caption, abbrevs))
 
 
 def _leak_fraction(stmt_unigrams, table_bag):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from . import textnorm
 from .corpus import Label
-from .snapshot import row_text
 
 CLS = "[CLS]"
 SEP = "[SEP]"
@@ -88,18 +87,19 @@ def lexical_baseline(statement, table, snap, abbrevs=None,
 
     Scores (o, n, 1-o), where o is the best overlap rate over snapshot rows
     and n = o * NEGATION_FACTOR when the statement carries a negation cue
-    (0 otherwise).  Scores are raw, not normalized.
+    (0 otherwise).  Scores are raw, not normalized.  ``table`` is a
+    TableDocument or a ``textnorm.TableView`` of one, as for
+    ``select_snapshot``.
     """
-    stmt_tokens = textnorm.normalize(statement.text, abbrevs)
+    view = textnorm.TableView.of(table, abbrevs)
+    stmt_tokens = textnorm.normalize(statement.text, view.abbrevs)
     stmt_grams = textnorm.ngram_set(stmt_tokens, n_values)
     o = 0.0
     for idx in snap.row_indices:
-        grams = textnorm.ngram_set(
-            textnorm.normalize(row_text(table, idx), abbrevs), n_values)
-        o = max(o, textnorm.overlap_rate(stmt_grams, grams))
+        o = max(o, textnorm.overlap_rate(stmt_grams, view.row_grams(idx, n_values)))
     negated = bool(textnorm.NEGATION_TOKENS & set(stmt_tokens))
     n = o * NEGATION_FACTOR if negated else 0.0
-    return ScoreVector(model_name, table.table_id, statement.stmt_id,
+    return ScoreVector(model_name, view.table_id, statement.stmt_id,
                        (o, n, 1.0 - o))
 
 

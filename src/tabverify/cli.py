@@ -59,22 +59,28 @@ def _write_jsonl(records, path):
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path, convert):
-    """Yield convert(obj) for each non-blank line; a bad line is reported as
-    ``path:line: reason``."""
+def _read_records(path, convert):
+    """Map (table_id, stmt_id) to convert(obj) for each non-blank line; a bad
+    or repeated record is reported as ``path:line: reason``."""
+    records = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                item = convert(json.loads(line))
+                obj = json.loads(line)
+                key = (obj["table_id"], obj["stmt_id"])
+                value = convert(obj)
+                if key in records:
+                    raise ValueError(f"duplicate record for {key}")
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
             except (TypeError, ValueError, corpus.CorpusError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            yield item
+            records[key] = value
+    return records
 
 
 def cmd_parse(args):
@@ -151,8 +157,9 @@ def cmd_snapshot(args):
     abbrevs = _load_abbrevs(args.abbrev_file)
     records = []
     for doc in docs:
+        view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
-            snap = snapshot.select_snapshot(doc, st, r_rows, n_values, abbrevs)
+            snap = snapshot.select_snapshot(view, st, r_rows, n_values)
             records.append({"table_id": snap.table_id, "stmt_id": snap.stmt_id,
                             "rows": list(snap.row_indices), "k": snap.k})
     _write_jsonl(records, args.out)
@@ -162,9 +169,8 @@ def cmd_snapshot(args):
 
 
 def _read_snapshots(path):
-    return {(snap.table_id, snap.stmt_id): snap for snap in _read_jsonl(
-        path, lambda obj: snapshot.Snapshot(obj["table_id"], obj["stmt_id"],
-                                            tuple(obj["rows"]), obj["k"]))}
+    return _read_records(path, lambda obj: snapshot.Snapshot(
+        obj["table_id"], obj["stmt_id"], tuple(obj["rows"]), obj["k"]))
 
 
 def cmd_baseline(args):
@@ -174,13 +180,14 @@ def cmd_baseline(args):
     abbrevs = _load_abbrevs(args.abbrev_file)
     score_vectors = []
     for doc in docs:
+        view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
             snap = snaps.get((doc.table_id, st.stmt_id))
             if snap is None:
                 raise ValueError(f"{args.snapshots}: no snapshot for table "
                                  f"{doc.table_id!r} statement {st.stmt_id!r}")
             score_vectors.append(classify.lexical_baseline(
-                st, doc, snap, abbrevs, n_values, args.model_name))
+                st, view, snap, n_values=n_values, model_name=args.model_name))
     classify.write_scores(score_vectors, args.out)
     _write_manifest(args.out, "baseline", {
         "corpus": args.corpus, "snapshots": args.snapshots,
@@ -245,8 +252,7 @@ def cmd_predict(args):
 
 
 def _read_predictions(path):
-    return dict(_read_jsonl(path, lambda obj: (
-        (obj["table_id"], obj["stmt_id"]), corpus.Label.parse(obj["label"]))))
+    return _read_records(path, lambda obj: corpus.Label.parse(obj["label"]))
 
 
 def cmd_evidence(args):
@@ -255,6 +261,7 @@ def cmd_evidence(args):
     abbrevs = _load_abbrevs(args.abbrev_file)
     records = []
     for doc in docs:
+        view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
             label = (st.gold_label if args.use_gold_taska
                      else labels.get((doc.table_id, st.stmt_id)))
@@ -265,7 +272,7 @@ def cmd_evidence(args):
                 # all-irrelevant map so downstream scoring has full coverage.
                 verdicts = ((False,) * doc.n_cols,) * doc.n_rows
             else:
-                emap, rtrace = evidence.find_evidence(st, doc, label, abbrevs)
+                emap, rtrace = evidence.find_evidence(st, view, label)
                 verdicts = emap.verdicts
                 if args.trace:
                     rec["trace"] = [[list(cell) for cell in row] for row in rtrace.cells]
@@ -279,9 +286,8 @@ def cmd_evidence(args):
 
 
 def _read_evidence(path):
-    return dict(_read_jsonl(path, lambda obj: (
-        (obj["table_id"], obj["stmt_id"]),
-        evidence.rle_decode(obj["relevant_rle"], obj["n_rows"], obj["n_cols"]))))
+    return _read_records(path, lambda obj: evidence.rle_decode(
+        obj["relevant_rle"], obj["n_rows"], obj["n_cols"]))
 
 
 def cmd_score(args):

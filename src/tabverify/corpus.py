@@ -279,16 +279,21 @@ def from_interchange(data):
 
 
 def read_corpus(path):
-    """Read a corpus: one interchange line per table."""
+    """Read a corpus: one interchange line per table, table ids unique."""
     docs = []
+    seen = set()
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                docs.append(from_interchange(line))
+                doc = from_interchange(line)
+                if doc.table_id in seen:
+                    raise DecodeError(f"duplicate table_id {doc.table_id!r}")
             except DecodeError as exc:
                 raise DecodeError(f"{path}:{lineno}: {exc}") from exc
+            seen.add(doc.table_id)
+            docs.append(doc)
     return docs
 
 

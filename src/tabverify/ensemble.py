@@ -84,10 +84,18 @@ class VoteLayer:
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(tuple(obj["model_names"]),
-                   np.asarray(obj["weights"], dtype=float),
-                   np.asarray(obj["bias"], dtype=float))
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise EnsembleError(f"{path}: invalid JSON: {exc}") from exc
+        try:
+            return cls(tuple(obj["model_names"]),
+                       np.asarray(obj["weights"], dtype=float),
+                       np.asarray(obj["bias"], dtype=float))
+        except KeyError as exc:
+            raise EnsembleError(f"{path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise EnsembleError(f"{path}: {exc}") from exc
 
 
 def assemble_features(score_vectors, model_names):

@@ -47,28 +47,32 @@ class RuleTrace:
 
 
 def find_evidence(statement, table, taska_label, abbrevs=None):
-    """Apply the rule engine; returns (EvidenceMap, RuleTrace)."""
+    """Apply the rule engine; returns (EvidenceMap, RuleTrace).
+
+    ``table`` is a TableDocument or a ``textnorm.TableView`` of one, as for
+    ``snapshot.select_snapshot``.
+    """
     if taska_label == Label.UNKNOWN:
         raise TaskBExclusionError("Task B excludes unknown statements")
-    n_rows, n_cols = table.n_rows, table.n_cols
+    view = textnorm.TableView.of(table, abbrevs)
+    n_rows, n_cols = view.n_rows, view.n_cols
     if taska_label == Label.ENTAILED:
         verdicts = tuple(tuple(True for _ in range(n_cols)) for _ in range(n_rows))
         trace = tuple(tuple((ALL_ENTAILED,) for _ in range(n_cols)) for _ in range(n_rows))
-        return (EvidenceMap(table.table_id, statement.stmt_id, verdicts),
+        return (EvidenceMap(view.table_id, statement.stmt_id, verdicts),
                 RuleTrace(trace))
 
-    bag = set(textnorm.normalize(statement.text, abbrevs))
-    cell_tokens = [[set(textnorm.normalize(cell, abbrevs)) for cell in row]
-                   for row in table.grid]
-    header_rows = min(table.header_rows, n_rows)
+    bag = set(textnorm.normalize(statement.text, view.abbrevs))
+    header_rows = min(view.header_rows, n_rows)
     body = range(header_rows, n_rows)
     fired = [[set() for _ in range(n_cols)] for _ in range(n_rows)]
 
     for word in bag:
-        header_cols = {c for r in range(header_rows) for c in range(n_cols)
-                       if word in cell_tokens[r][c]}
-        label_rows = {r for r in body
-                      if n_cols > 0 and word in cell_tokens[r][0]}
+        # Only the cells holding the word can fire; a word no cell holds
+        # fires nothing.
+        cells = view.cell_index.get(word, ())
+        header_cols = {c for r, c in cells if r < header_rows}
+        label_rows = {r for r, c in cells if c == 0 and r >= header_rows}
         for c in header_cols:
             for r in body:
                 fired[r][c].add("1")
@@ -78,16 +82,14 @@ def find_evidence(statement, table, taska_label, abbrevs=None):
         for r in label_rows:
             for c in header_cols:
                 fired[r][c].add("3")
-        for r in range(n_rows):
-            for c in range(n_cols):
-                if word in cell_tokens[r][c]:
-                    fired[r][c].add("4")
+        for r, c in cells:
+            fired[r][c].add("4")
 
     verdicts = tuple(tuple(bool(fired[r][c]) for c in range(n_cols))
                      for r in range(n_rows))
     trace = tuple(tuple(tuple(sorted(fired[r][c])) for c in range(n_cols))
                   for r in range(n_rows))
-    return (EvidenceMap(table.table_id, statement.stmt_id, verdicts),
+    return (EvidenceMap(view.table_id, statement.stmt_id, verdicts),
             RuleTrace(trace))
 
 

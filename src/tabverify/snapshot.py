@@ -34,31 +34,26 @@ def median_row_count(corpus, header_rows_excluded=True):
     return counts[(len(counts) - 1) // 2]
 
 
-def row_text(doc, row_index):
-    """The texts of one row joined with single spaces."""
-    return " ".join(doc.grid[row_index])
-
-
 def select_snapshot(table, statement, r_rows, n_values=DEFAULT_NGRAMS, abbrevs=None):
     """Pick the top rows by overlap with the statement.
 
-    When the table has at most ``r_rows`` body rows the snapshot is the whole
+    ``table`` is a TableDocument or a ``textnorm.TableView`` of one; a view
+    carries its own abbreviations, so ``abbrevs`` is then left unset.  When
+    the table has at most ``r_rows`` body rows the snapshot is the whole
     body.  Otherwise exactly ``r_rows`` rows are kept, ranked by overlap rate
     with ties broken toward the smaller row index; the result is re-sorted in
     ascending original order.
     """
     if r_rows < 1:
         raise ValueError(f"r_rows must be >= 1, got {r_rows}")
-    body = list(table.body_row_indices)
+    view = textnorm.TableView.of(table, abbrevs)
+    body = list(view.body_row_indices)
     if len(body) <= r_rows:
-        return Snapshot(table.table_id, statement.stmt_id, tuple(body), len(body))
+        return Snapshot(view.table_id, statement.stmt_id, tuple(body), len(body))
     stmt_grams = textnorm.ngram_set(
-        textnorm.normalize(statement.text, abbrevs), n_values)
-    scored = []
-    for idx in body:
-        grams = textnorm.ngram_set(
-            textnorm.normalize(row_text(table, idx), abbrevs), n_values)
-        scored.append((-textnorm.overlap_rate(stmt_grams, grams), idx))
+        textnorm.normalize(statement.text, view.abbrevs), n_values)
+    scored = [(-textnorm.overlap_rate(stmt_grams, view.row_grams(idx, n_values)), idx)
+              for idx in body]
     scored.sort()
     chosen = sorted(idx for _, idx in scored[:r_rows])
-    return Snapshot(table.table_id, statement.stmt_id, tuple(chosen), r_rows)
+    return Snapshot(view.table_id, statement.stmt_id, tuple(chosen), r_rows)

@@ -1,12 +1,19 @@
 """Deterministic text normalization: lowercasing, abbreviation expansion,
-suffix stemming, tokenization and n-gram extraction.
+suffix stemming, tokenization and n-gram extraction, plus ``TableView``,
+the normalized text of one table computed once and shared by every
+statement scored against it.
 
 The pipeline order is fixed: lowercase -> tokenize -> expand abbreviations
--> stem.  All functions are pure and safe for parallel use.
+-> stem.  All functions are pure.  ``stem`` is memoized for the life of the
+process: its result depends only on its one string argument and the rule
+list fixed at import, and strings are immutable, so a cached result is the
+value a fresh call would return.  The cache grows with the distinct tokens
+seen (tens of thousands on large corpora).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 
@@ -111,6 +118,7 @@ def _stem_once(word):
     return word
 
 
+@functools.lru_cache(maxsize=None)
 def stem(word):
     """Suffix-strip one lowercase token using the shipped rule list.
 
@@ -158,3 +166,53 @@ def overlap_rate(statement_grams, row_grams):
     if not statement_grams:
         return 0.0
     return len(statement_grams & row_grams) / len(statement_grams)
+
+
+class TableView:
+    """One table's normalized text, computed on first use and reused by
+    every statement scored against the table.
+
+    A view is built with the abbreviation table its text is normalized
+    with and carries it as ``abbrevs``.  Attributes the view does not define
+    read through to the table, so a view stands in for it.  The sets and
+    lists it returns are shared by every caller and must not be mutated.
+    """
+
+    def __init__(self, table, abbrevs=None):
+        self.table = table
+        self.abbrevs = abbrevs
+        self._row_grams = {}
+
+    @classmethod
+    def of(cls, table, abbrevs=None):
+        """``table`` itself when it is a view already, else a new view of it."""
+        if isinstance(table, cls):
+            if abbrevs is not None:
+                raise ValueError("a TableView carries its own abbreviations")
+            return table
+        return cls(table, abbrevs)
+
+    def __getattr__(self, name):
+        if name == "table":  # not yet set, e.g. while copying
+            raise AttributeError(name)
+        return getattr(self.table, name)
+
+    def row_grams(self, row_index, n_values):
+        """The n-gram set of one grid row's text (its cells joined by
+        spaces), for each n in ``n_values``."""
+        key = (row_index, tuple(n_values))
+        grams = self._row_grams.get(key)
+        if grams is None:
+            tokens = normalize(" ".join(self.table.grid[row_index]), self.abbrevs)
+            grams = self._row_grams[key] = ngram_set(tokens, key[1])
+        return grams
+
+    @functools.cached_property
+    def cell_index(self):
+        """Normalized token -> the (row, col) cells holding it, row-major."""
+        index = {}
+        for r, row in enumerate(self.table.grid):
+            for c, cell in enumerate(row):
+                for tok in set(normalize(cell, self.abbrevs)):
+                    index.setdefault(tok, []).append((r, c))
+        return index

@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -152,7 +156,19 @@ class TestJsonlBoundary:
          SCORE_PREDS, "{w}/preds.jsonl:2: missing field 'label'"),
         ("preds.jsonl", 2, lambda line: line.replace("}", ""),
          SCORE_PREDS, "{w}/preds.jsonl:2: invalid JSON"),
-    ], ids=["missing-snapshot", "missing-field", "invalid-json"])
+        ("preds.jsonl", 2, lambda line: line + "\n" + line.replace("refuted", "entailed"),
+         SCORE_PREDS, "{w}/preds.jsonl:3: duplicate record for ('t1', 's2')"),
+        ("snapshots.jsonl", 2, lambda line: line + "\n" + line,
+         ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{w}/scores2.jsonl"],
+         "{w}/snapshots.jsonl:3: duplicate record for ('t1', 's2')"),
+        ("evidence.jsonl", 2, lambda line: line + "\n" + line,
+         ["score", "--corpus", "{w}/corpus.jsonl", "--evidence", "{w}/evidence.jsonl",
+          "--out", "{w}/report2.json"],
+         "{w}/evidence.jsonl:3: duplicate record for ('t1', 's2')"),
+        ("corpus.jsonl", 1, lambda line: line + "\n" + line,
+         SCORE_PREDS, "{w}/corpus.jsonl:2: duplicate table_id 't1'"),
+    ], ids=["missing-snapshot", "missing-field", "invalid-json", "duplicate-prediction",
+            "duplicate-snapshot", "duplicate-evidence", "duplicate-table"])
     def test_bad_record_reports_location(self, fixtures_dir, tmp_path, capsys,
                                          name, lineno, rewrite, argv, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -164,3 +180,44 @@ class TestJsonlBoundary:
         assert run([arg.format(w=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(w=tmp_path)), err
+
+    @pytest.mark.parametrize("rewrite, message", [
+        (lambda layer: json.dumps(layer)[:-1], "invalid JSON: "),
+        (lambda layer: json.dumps({k: v for k, v in layer.items() if k != "weights"}),
+         "missing field 'weights'"),
+        (lambda layer: json.dumps({k: v for k, v in layer.items() if k != "model_names"}),
+         "missing field 'model_names'"),
+        (lambda layer: json.dumps({k: v for k, v in layer.items() if k != "bias"}),
+         "missing field 'bias'"),
+    ], ids=["invalid-json", "missing-weights", "missing-model-names", "missing-bias"])
+    def test_bad_layer_file_reports_path(self, fixtures_dir, tmp_path, capsys,
+                                         rewrite, message):
+        run_pipeline(fixtures_dir / "corpus", tmp_path)
+        layer = tmp_path / "layer.json"
+        layer.write_text(rewrite(json.loads(layer.read_text())))
+        capsys.readouterr()
+        assert run(["predict", f"{tmp_path}/scores.jsonl", "--layer", str(layer),
+                    "--out", f"{tmp_path}/preds2.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {layer}: {message}"), err
+
+
+class TestFixtureScript:
+    def test_reproduces_frozen_reports(self, fixtures_dir):
+        """scripts/run_fixture_pipeline.py, as the README runs it, writes the
+        frozen reports."""
+        root = fixtures_dir.parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_fixture_pipeline.py")],
+            env=env, capture_output=True, text=True, timeout=120)
+        reports = [line.removeprefix("report: ") for line in proc.stdout.splitlines()
+                   if line.startswith("report: ")]
+        assert proc.returncode == 0 and len(reports) == 1, proc.stdout + proc.stderr
+        workdir = pathlib.Path(reports[0]).parent
+        try:
+            for name in ["report.json", "preds.jsonl"]:
+                assert ((workdir / name).read_bytes()
+                        == (fixtures_dir / "expected" / name).read_bytes()), name
+        finally:
+            shutil.rmtree(workdir)

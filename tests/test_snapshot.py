@@ -3,8 +3,13 @@ import random
 import pytest
 
 from tabverify import textnorm as tn
-from tabverify.snapshot import median_row_count, select_snapshot, row_text
+from tabverify.snapshot import median_row_count, select_snapshot
 from conftest import make_statement, make_table
+
+
+def row_text(table, row_index):
+    """The texts of one row joined with single spaces."""
+    return " ".join(table.grid[row_index])
 
 
 def table_with_rows(n_body, n_cols=2, rng=None, vocab=("aa", "bb", "cc", "dd")):

@@ -28,6 +28,9 @@ class TestNormalize:
     def test_idempotent_on_own_output(self, text):
         once = tn.normalize(text)
         assert tn.normalize(" ".join(once)) == once
+        # the memoized stemmer agrees with the uncached function
+        for tok in tn.normalize(text, stemming=False):
+            assert tn.stem(tok) == tn.stem.__wrapped__(tok)
 
     @given(st.text(max_size=60))
     def test_idempotent_with_default_abbrevs(self, text):
