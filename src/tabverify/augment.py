@@ -16,7 +16,7 @@ from .corpus import Label, Statement
 
 # Draws per appended statement before the leakage guard gives up and keeps
 # the least-overlapping candidate seen.
-DEFAULT_MAX_REDRAWS = 10
+MAX_REDRAWS = 10
 
 
 class AugmentError(ValueError):
@@ -30,19 +30,19 @@ class AugmentConfig:
     # Reject donors sharing more than this fraction of their unigrams with
     # the target table; 0 disables the guard entirely.
     guard_threshold: float = 0.5
-    max_redraws: int = DEFAULT_MAX_REDRAWS
 
     def __post_init__(self):
         if not (0 < self.unknown_ratio <= 1):
             raise AugmentError(f"unknown_ratio must be in (0, 1], got {self.unknown_ratio}")
 
 
-def merge_corpora(base, external, prefix="ext"):
-    """Concatenate two corpora; external table ids get a source prefix."""
+def merge_corpora(base, external):
+    """Concatenate two corpora; external table and document ids get the
+    prefix ``ext:``."""
     merged = list(base)
     for doc in external:
-        merged.append(replace(doc, table_id=f"{prefix}:{doc.table_id}",
-                              doc_id=f"{prefix}:{doc.doc_id}" if doc.doc_id else doc.doc_id))
+        merged.append(replace(doc, table_id=f"ext:{doc.table_id}",
+                              doc_id=f"ext:{doc.doc_id}" if doc.doc_id else doc.doc_id))
     seen = set()
     for doc in merged:
         if doc.table_id in seen:
@@ -100,7 +100,7 @@ def generate_unknown(corpus, config, abbrevs=None):
             tries = 0
             # Same-table or already-used draws do not count toward the
             # redraw budget; the tries cap only bounds pathological streaks.
-            while attempts < max(1, config.max_redraws) and tries < 1000:
+            while attempts < MAX_REDRAWS and tries < 1000:
                 tries += 1
                 idx = rng.randrange(len(pool))
                 if pool[idx][0] == pos or idx in taken:

@@ -7,11 +7,10 @@ Class order is fixed as [Entailed, Refuted, Unknown] everywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from . import textnorm
+from . import corpus, textnorm
 from .corpus import Label
 
 CLS = "[CLS]"
@@ -47,8 +46,8 @@ class ScoreVector:
             raise ScoreFileError("model_name must be non-empty")
         if len(self.scores) != 3:
             raise ScoreFileError(f"expected 3 scores, got {len(self.scores)}")
-        if not all(math.isfinite(s) for s in self.scores):
-            raise ScoreFileError(f"non-finite score in {self.scores}")
+        if not all(isinstance(s, (int, float)) and math.isfinite(s) for s in self.scores):
+            raise ScoreFileError(f"scores must be finite numbers, got {self.scores}")
 
 
 @dataclass(frozen=True)
@@ -103,34 +102,23 @@ def lexical_baseline(statement, table, snap, abbrevs=None,
                        (o, n, 1.0 - o))
 
 
+SCORE_KEY = ("model", "table_id", "stmt_id")
+
+
 def write_scores(score_vectors, path):
     """One JSON object per line; unknown fields round-trip opaquely."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sv in score_vectors:
-            obj = dict(sv.extra)
-            obj.update(model=sv.model_name, table_id=sv.table_id,
-                       stmt_id=sv.stmt_id, scores=list(sv.scores))
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+    corpus.write_jsonl(({**sv.extra, "model": sv.model_name, "table_id": sv.table_id,
+                         "stmt_id": sv.stmt_id, "scores": list(sv.scores)}
+                        for sv in score_vectors), path)
+
+
+def _score_from_json(obj):
+    extra = {k: v for k, v in obj.items() if k not in SCORE_KEY and k != "scores"}
+    return ScoreVector(obj["model"], obj["table_id"], obj["stmt_id"],
+                       tuple(corpus.json_field(obj, "scores", list)), extra)
 
 
 def read_scores(path):
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ScoreFileError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                extra = {k: v for k, v in obj.items()
-                         if k not in ("model", "table_id", "stmt_id", "scores")}
-                sv = ScoreVector(obj["model"], obj["table_id"], obj["stmt_id"],
-                                 tuple(obj["scores"]), extra)
-            except KeyError as exc:
-                raise ScoreFileError(f"{path}:{lineno}: missing field {exc}") from exc
-            except ScoreFileError as exc:
-                raise ScoreFileError(f"{path}:{lineno}: {exc}") from exc
-            out.append(sv)
-    return out
+    """Score vectors in file order; a score file holds one record per
+    (model, table_id, stmt_id).  Bad records raise ScoreFileError."""
+    return list(corpus.read_jsonl(path, _score_from_json, SCORE_KEY, ScoreFileError).values())

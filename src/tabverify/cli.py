@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import logging
 import os
 import sys
@@ -41,8 +40,7 @@ def _write_manifest(out_path, subcommand, options):
         "tool_version": _tool_version(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    corpus.write_json(manifest, str(out_path) + ".manifest.json")
 
 
 def _load_abbrevs(path):
@@ -53,34 +51,7 @@ def _parse_ngrams(spec):
     return tuple(sorted({int(n) for n in spec.split(",") if n.strip()}))
 
 
-def _write_jsonl(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-
-
-def _read_records(path, convert):
-    """Map (table_id, stmt_id) to convert(obj) for each non-blank line; a bad
-    or repeated record is reported as ``path:line: reason``."""
-    records = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                key = (obj["table_id"], obj["stmt_id"])
-                value = convert(obj)
-                if key in records:
-                    raise ValueError(f"duplicate record for {key}")
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (TypeError, ValueError, corpus.CorpusError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            records[key] = value
-    return records
+STATEMENT_KEY = ("table_id", "stmt_id")
 
 
 def cmd_parse(args):
@@ -90,20 +61,17 @@ def cmd_parse(args):
     files = sorted(in_dir.glob("*.xml"))
     if not files:
         log.warning("no XML files in %s", in_dir)
+    docs = []
     failures = []
-    n_written = 0
-    with open(args.out, "wb") as fh:
-        for path in files:
-            try:
-                doc = corpus.parse_xml(path.read_bytes())
-            except corpus.CorpusError as exc:
-                failures.append((path, exc))
-                log.error("%s: %s", path, exc)
-                continue
-            fh.write(corpus.to_interchange(doc))
-            n_written += 1
+    for path in files:
+        try:
+            docs.append(corpus.parse_xml(path.read_bytes()))
+        except corpus.CorpusError as exc:
+            failures.append(path)
+            log.error("%s: %s", path, exc)
+    corpus.write_corpus(docs, args.out)
     _write_manifest(args.out, "parse", {"in_dir": str(in_dir)})
-    log.info("wrote %d tables to %s", n_written, args.out)
+    log.info("wrote %d tables to %s", len(docs), args.out)
     if failures:
         print(f"{len(failures)} file(s) failed to parse", file=sys.stderr)
         return 1
@@ -124,8 +92,7 @@ def cmd_stats(args):
     ]
     print("\n".join(lines))
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n", "utf-8")
+        corpus.write_json(stats.to_json(), args.out)
         _write_manifest(args.out, "stats", {"corpus": args.corpus})
     return 0
 
@@ -162,15 +129,16 @@ def cmd_snapshot(args):
             snap = snapshot.select_snapshot(view, st, r_rows, n_values)
             records.append({"table_id": snap.table_id, "stmt_id": snap.stmt_id,
                             "rows": list(snap.row_indices), "k": snap.k})
-    _write_jsonl(records, args.out)
+    corpus.write_jsonl(records, args.out)
     _write_manifest(args.out, "snapshot", {
         "corpus": args.corpus, "rows_r": r_rows, "ngrams": list(n_values)})
     return 0
 
 
 def _read_snapshots(path):
-    return _read_records(path, lambda obj: snapshot.Snapshot(
-        obj["table_id"], obj["stmt_id"], tuple(obj["rows"]), obj["k"]))
+    return corpus.read_jsonl(path, lambda obj: snapshot.Snapshot(
+        obj["table_id"], obj["stmt_id"], tuple(corpus.json_field(obj, "rows", list, int)),
+        corpus.json_field(obj, "k", int)), STATEMENT_KEY, ValueError)
 
 
 def cmd_baseline(args):
@@ -181,11 +149,16 @@ def cmd_baseline(args):
     score_vectors = []
     for doc in docs:
         view = textnorm.TableView(doc, abbrevs)
+        body = doc.body_row_indices
         for st in doc.statements:
             snap = snaps.get((doc.table_id, st.stmt_id))
             if snap is None:
                 raise ValueError(f"{args.snapshots}: no snapshot for table "
                                  f"{doc.table_id!r} statement {st.stmt_id!r}")
+            if not all(r in body for r in snap.row_indices):
+                raise ValueError(f"{args.snapshots}: snapshot rows {list(snap.row_indices)} "
+                                 f"for table {doc.table_id!r} statement {st.stmt_id!r} "
+                                 "are not body rows")
             score_vectors.append(classify.lexical_baseline(
                 st, view, snap, n_values=n_values, model_name=args.model_name))
     classify.write_scores(score_vectors, args.out)
@@ -244,7 +217,7 @@ def cmd_predict(args):
                 layer, ensemble.assemble_features(svs, layer.model_names))
         records.append({"table_id": table_id, "stmt_id": stmt_id,
                         "label": label.value})
-    _write_jsonl(records, args.out)
+    corpus.write_jsonl(records, args.out)
     _write_manifest(args.out, "predict", {
         "scores": list(args.scores), "layer": args.layer,
         "majority": args.majority})
@@ -252,7 +225,8 @@ def cmd_predict(args):
 
 
 def _read_predictions(path):
-    return _read_records(path, lambda obj: corpus.Label.parse(obj["label"]))
+    return corpus.read_jsonl(path, lambda obj: corpus.Label.parse(obj["label"]),
+                             STATEMENT_KEY, ValueError)
 
 
 def cmd_evidence(args):
@@ -263,8 +237,11 @@ def cmd_evidence(args):
     for doc in docs:
         view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
-            label = (st.gold_label if args.use_gold_taska
-                     else labels.get((doc.table_id, st.stmt_id)))
+            key = (doc.table_id, st.stmt_id)
+            if not (args.use_gold_taska or key in labels):
+                raise ValueError(f"{args.predictions}: no prediction for table "
+                                 f"{doc.table_id!r} statement {st.stmt_id!r}")
+            label = st.gold_label if args.use_gold_taska else labels[key]
             rec = {"table_id": doc.table_id, "stmt_id": st.stmt_id,
                    "n_rows": doc.n_rows, "n_cols": doc.n_cols}
             if label is None or label == corpus.Label.UNKNOWN:
@@ -278,7 +255,7 @@ def cmd_evidence(args):
                     rec["trace"] = [[list(cell) for cell in row] for row in rtrace.cells]
             rec["relevant_rle"] = evidence.rle_encode(verdicts)
             records.append(rec)
-    _write_jsonl(records, args.out)
+    corpus.write_jsonl(records, args.out)
     _write_manifest(args.out, "evidence", {
         "corpus": args.corpus, "predictions": args.predictions,
         "use_gold_taska": args.use_gold_taska})
@@ -286,8 +263,10 @@ def cmd_evidence(args):
 
 
 def _read_evidence(path):
-    return _read_records(path, lambda obj: evidence.rle_decode(
-        obj["relevant_rle"], obj["n_rows"], obj["n_cols"]))
+    return corpus.read_jsonl(path, lambda obj: evidence.rle_decode(
+        corpus.json_field(obj, "relevant_rle", list, int),
+        corpus.json_field(obj, "n_rows", int), corpus.json_field(obj, "n_cols", int)),
+        STATEMENT_KEY, ValueError)
 
 
 def cmd_score(args):
@@ -303,8 +282,7 @@ def cmd_score(args):
         task_b = scoring.score_task_b(_read_evidence(args.evidence), docs)
         report["task_b"] = task_b.to_json()
         print(f"task B cell F1: {task_b.overall:.4f}")
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                              "utf-8")
+    corpus.write_json(report, args.out)
     _write_manifest(args.out, "score", {
         "corpus": args.corpus, "preds": args.preds, "evidence": args.evidence,
         "average": average})
@@ -401,9 +379,7 @@ def main(argv=None):
         raise SystemExit("evidence requires a predictions file or --use-gold-taskA")
     try:
         return args.fn(args)
-    except (corpus.CorpusError, classify.ScoreFileError, ensemble.EnsembleError,
-            scoring.ScoringError, augment_mod.AugmentError, ValueError,
-            FileNotFoundError) as exc:
+    except (corpus.CorpusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

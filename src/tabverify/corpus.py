@@ -1,5 +1,6 @@
 """Canonical table/statement model, XML parsing, the line-oriented JSON
-interchange format, and corpus statistics.
+interchange format, corpus statistics, and the file boundary: the one
+JSON-lines reader and writer every pipeline file goes through.
 
 XML schema (one table per file):
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
+import reprlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -126,9 +128,10 @@ def _check_statements(grid, statements, table_id):
             if not version.relevant_cells:
                 raise SchemaError(f"statement {st.stmt_id!r} has an empty evidence version")
             for r, c in version.relevant_cells:
-                if not (0 <= r < n_rows and 0 <= c < n_cols):
+                if not (isinstance(r, int) and isinstance(c, int)
+                        and 0 <= r < n_rows and 0 <= c < n_cols):
                     raise SchemaError(
-                        f"statement {st.stmt_id!r} evidence cell ({r}, {c}) out of bounds"
+                        f"statement {st.stmt_id!r} evidence cell ({r!r}, {c!r}) out of bounds"
                     )
 
 
@@ -174,8 +177,6 @@ def parse_xml(data):
         raise SchemaError("expected a <table> element inside <document>")
     doc_id = root.get("id", "") if root.tag == "document" else ""
     table_id = table.get("id")
-    if not table_id:
-        raise SchemaError("missing table id")
     header_rows = _int_attr(table, "header_rows", "1")
 
     rows_text = []
@@ -210,6 +211,68 @@ def parse_xml(data):
                          _elem_text(table, "legend"), rows_text, header_rows, statements)
 
 
+# The file boundary: every JSON-lines file the pipeline reads or writes, and
+# every indented JSON document it writes, goes through the functions below.
+
+def json_field(obj, name, kind, item=None):
+    """``obj[name]``, of type ``kind`` (with ``item``: a list of ``item``).  A
+    missing field is a KeyError, a wrongly typed one a SchemaError."""
+    value = obj[name]
+    if not isinstance(value, kind) or (item and not all([isinstance(v, item) for v in value])):
+        expected = kind.__name__ + (f" of {item.__name__}" if item else "")
+        raise SchemaError(f"field {name!r} must be {expected}, got {reprlib.repr(value)}")
+    return value
+
+
+# What decoding bad input raises; every reader reports it via bad_input_reason.
+BAD_INPUT = (KeyError, TypeError, ValueError, CorpusError)
+
+
+def bad_input_reason(exc):
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON: {exc}"
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def read_jsonl(path, convert, key, error):
+    """Map each record's ``key`` fields (strings) to ``convert(record)``, in
+    file order, skipping blank lines.  A repeated key and every BAD_INPUT
+    error are raised as ``error("path:line: reason")``."""
+    records = {}
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                if not isinstance(obj, dict):
+                    raise SchemaError(f"expected a JSON object, got {reprlib.repr(obj)}")
+                record_key = tuple([json_field(obj, name, str) for name in key])
+                if record_key in records:
+                    raise SchemaError(f"duplicate {key[0]} {record_key[0]!r}" if len(key) == 1
+                                      else f"duplicate record for {record_key}")
+                records[record_key] = convert(obj)
+            except BAD_INPUT as exc:
+                raise error(f"{path}:{lineno}: {bad_input_reason(exc)}") from exc
+    return records
+
+
+def _jsonl_line(obj):
+    return (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+
+
+def write_jsonl(records, path):
+    """Write each record as one JSON line: keys sorted, text as UTF-8."""
+    with open(path, "wb") as fh:
+        fh.writelines(map(_jsonl_line, records))
+
+
+def write_json(obj, path):
+    """Write one indented JSON document with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _statement_to_json(st):
     return {
         "stmt_id": st.stmt_id,
@@ -223,22 +286,20 @@ def _statement_to_json(st):
 
 
 def _statement_from_json(obj):
-    versions = None
-    if obj.get("evidence") is not None:
-        versions = tuple(
-            EvidenceVersion(frozenset((r, c) for r, c in v)) for v in obj["evidence"]
-        )
+    label = obj.get("label")
+    evidence = obj.get("evidence")
     return Statement(
-        stmt_id=obj["stmt_id"],
-        text=obj["text"],
-        gold_label=Label.parse(obj["label"]) if obj.get("label") else None,
-        gold_evidence=versions,
+        stmt_id=json_field(obj, "stmt_id", str),
+        text=json_field(obj, "text", str),
+        gold_label=None if label is None else Label.parse(label),
+        gold_evidence=None if evidence is None else tuple(
+            EvidenceVersion(frozenset((r, c) for r, c in version))
+            for version in json_field(obj, "evidence", list, list)),
     )
 
 
-def to_interchange(doc):
-    """Serialize one document to a single interchange JSON line (bytes)."""
-    obj = {
+def _document_to_json(doc):
+    return {
         "format_version": INTERCHANGE_VERSION,
         "doc_id": doc.doc_id,
         "table_id": doc.table_id,
@@ -248,59 +309,43 @@ def to_interchange(doc):
         "header_rows": doc.header_rows,
         "statements": [_statement_to_json(st) for st in doc.statements],
     }
-    return (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+
+
+def to_interchange(doc):
+    """Serialize one document to a single interchange JSON line (bytes)."""
+    return _jsonl_line(_document_to_json(doc))
 
 
 def from_interchange(data):
-    """Decode one interchange line back into a TableDocument."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """Decode one interchange line (bytes or str), or the JSON object parsed
+    from one, into a TableDocument.  Every failure is a DecodeError."""
     try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise DecodeError(f"invalid interchange JSON: {exc}") from exc
-    version = obj.get("format_version")
-    if version != INTERCHANGE_VERSION:
-        raise DecodeError(f"unsupported interchange version: {version!r}")
-    try:
+        obj = data if isinstance(data, dict) else json.loads(data)
+        if json_field(obj, "format_version", int) != INTERCHANGE_VERSION:
+            raise DecodeError(f"unsupported interchange version: {obj['format_version']!r}")
+        grid = json_field(obj, "grid", list, list)
+        "".join(map("".join, grid))  # a TypeError unless every cell is a string
         return make_document(
-            doc_id=obj["doc_id"],
-            table_id=obj["table_id"],
-            caption=obj["caption"],
-            legend=obj["legend"],
-            rows_text=obj["grid"],
-            header_rows=obj["header_rows"],
-            statements=[_statement_from_json(s) for s in obj["statements"]],
+            doc_id=json_field(obj, "doc_id", str),
+            table_id=json_field(obj, "table_id", str),
+            caption=json_field(obj, "caption", str),
+            legend=json_field(obj, "legend", str),
+            rows_text=grid,
+            header_rows=json_field(obj, "header_rows", int),
+            statements=[_statement_from_json(s)
+                        for s in json_field(obj, "statements", list, dict)],
         )
-    except KeyError as exc:
-        raise DecodeError(f"interchange line missing field {exc}") from exc
-    except SchemaError as exc:
-        raise DecodeError(str(exc)) from exc
+    except BAD_INPUT as exc:
+        raise DecodeError(bad_input_reason(exc)) from exc
 
 
 def read_corpus(path):
     """Read a corpus: one interchange line per table, table ids unique."""
-    docs = []
-    seen = set()
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                doc = from_interchange(line)
-                if doc.table_id in seen:
-                    raise DecodeError(f"duplicate table_id {doc.table_id!r}")
-            except DecodeError as exc:
-                raise DecodeError(f"{path}:{lineno}: {exc}") from exc
-            seen.add(doc.table_id)
-            docs.append(doc)
-    return docs
+    return list(read_jsonl(path, from_interchange, ("table_id",), DecodeError).values())
 
 
 def write_corpus(docs, path):
-    with open(path, "wb") as fh:
-        for doc in docs:
-            fh.write(to_interchange(doc))
+    write_jsonl(map(_document_to_json, docs), path)
 
 
 def _minmaxmean(values):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .classify import CLASS_ORDER
+from .corpus import BAD_INPUT, bad_input_reason, write_json
 
 N_CLASSES = 3
 
@@ -77,25 +78,18 @@ class VoteLayer:
             "bias": self.bias.tolist(),
             "config": asdict(config) if config else None,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(obj, path)
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             try:
                 obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise EnsembleError(f"{path}: invalid JSON: {exc}") from exc
-        try:
-            return cls(tuple(obj["model_names"]),
-                       np.asarray(obj["weights"], dtype=float),
-                       np.asarray(obj["bias"], dtype=float))
-        except KeyError as exc:
-            raise EnsembleError(f"{path}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise EnsembleError(f"{path}: {exc}") from exc
+                return cls(tuple(obj["model_names"]),
+                           np.asarray(obj["weights"], dtype=float),
+                           np.asarray(obj["bias"], dtype=float))
+            except BAD_INPUT as exc:
+                raise EnsembleError(f"{path}: {bad_input_reason(exc)}") from exc
 
 
 def assemble_features(score_vectors, model_names):

@@ -18,7 +18,7 @@ class Snapshot:
     k: int
 
 
-def median_row_count(corpus, header_rows_excluded=True):
+def median_row_count(corpus):
     """Median body-row count across the corpus.
 
     Even-length medians take the lower of the two middle values, so the
@@ -26,11 +26,7 @@ def median_row_count(corpus, header_rows_excluded=True):
     """
     if not corpus:
         raise ValueError("median_row_count requires a non-empty corpus")
-    counts = []
-    for doc in corpus:
-        n = doc.n_rows - min(doc.header_rows, doc.n_rows) if header_rows_excluded else doc.n_rows
-        counts.append(n)
-    counts.sort()
+    counts = sorted(len(doc.body_row_indices) for doc in corpus)
     return counts[(len(counts) - 1) // 2]
 
 

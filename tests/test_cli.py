@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,7 +8,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import FIXTURES
 from tabverify import cli
 from tabverify.corpus import read_corpus
 
@@ -144,6 +148,21 @@ class TestEndToEnd:
 
 SCORE_PREDS = ["score", "--corpus", "{w}/corpus.jsonl", "--preds", "{w}/preds.jsonl",
                "--out", "{w}/report2.json"]
+STATS = ["stats", "{w}/corpus.jsonl"]
+BASELINE = ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{w}/scores2.jsonl"]
+PREDICT = ["predict", "{w}/scores.jsonl", "--layer", "{w}/layer.json",
+           "--out", "{w}/preds2.jsonl"]
+EVIDENCE = ["evidence", "{w}/corpus.jsonl", "{w}/preds.jsonl", "{w}/evidence2.jsonl"]
+
+
+def set_field(name, value):
+    return lambda line: json.dumps({**json.loads(line), name: value})
+
+
+def not_body_rows(rows):
+    return ("snapshots.jsonl", 1, set_field("rows", rows), BASELINE,
+            f"{{w}}/snapshots.jsonl: snapshot rows {rows} for table 't1' statement 's1' "
+            "are not body rows")
 
 
 class TestJsonlBoundary:
@@ -167,8 +186,33 @@ class TestJsonlBoundary:
          "{w}/evidence.jsonl:3: duplicate record for ('t1', 's2')"),
         ("corpus.jsonl", 1, lambda line: line + "\n" + line,
          SCORE_PREDS, "{w}/corpus.jsonl:2: duplicate table_id 't1'"),
+        ("corpus.jsonl", 1, set_field("grid", 5), STATS,
+         "{w}/corpus.jsonl:1: field 'grid' must be list of list, got 5"),
+        ("corpus.jsonl", 1, set_field("header_rows", "1"), STATS,
+         "{w}/corpus.jsonl:1: field 'header_rows' must be int, got '1'"),
+        ("corpus.jsonl", 1, set_field("statements", None), STATS,
+         "{w}/corpus.jsonl:1: field 'statements' must be list of dict, got None"),
+        ("corpus.jsonl", 2, lambda line: "[1]", STATS,
+         "{w}/corpus.jsonl:2: expected a JSON object, got [1]"),
+        ("scores.jsonl", 1, set_field("scores", 5), PREDICT,
+         "{w}/scores.jsonl:1: field 'scores' must be list, got 5"),
+        ("scores.jsonl", 1, set_field("scores", ["a", "b", "c"]), PREDICT,
+         "{w}/scores.jsonl:1: scores must be finite numbers, got ('a', 'b', 'c')"),
+        ("scores.jsonl", 1, set_field("stmt_id", 7), PREDICT,
+         "{w}/scores.jsonl:1: field 'stmt_id' must be str, got 7"),
+        ("scores.jsonl", 1, lambda line: line + "\n" + line, PREDICT,
+         "{w}/scores.jsonl:2: duplicate record for ('lexical', 't1', 's1')"),
+        ("preds.jsonl", 2, lambda line: "", EVIDENCE,
+         "{w}/preds.jsonl: no prediction for table 't1' statement 's2'"),
+        not_body_rows([-1]),
+        not_body_rows([0]),
+        not_body_rows([999]),
     ], ids=["missing-snapshot", "missing-field", "invalid-json", "duplicate-prediction",
-            "duplicate-snapshot", "duplicate-evidence", "duplicate-table"])
+            "duplicate-snapshot", "duplicate-evidence", "duplicate-table",
+            "grid-type", "header-rows-type", "statements-null", "corpus-line-not-object",
+            "scores-type", "score-item-type", "score-id-type", "duplicate-score",
+            "missing-prediction", "snapshot-row-negative", "snapshot-row-header",
+            "snapshot-row-past-end"])
     def test_bad_record_reports_location(self, fixtures_dir, tmp_path, capsys,
                                          name, lineno, rewrite, argv, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -200,6 +244,85 @@ class TestJsonlBoundary:
                     "--out", f"{tmp_path}/preds2.jsonl"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {layer}: {message}"), err
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """One fixture pipeline run, shared read-only by the module's fuzz test."""
+    return run_pipeline(FIXTURES / "corpus", tmp_path_factory.mktemp("pipeline"))
+
+
+# Each pipeline file and the subcommands that read it; {w} is the pipeline
+# directory and {o} a fresh directory holding the mutated file and outputs.
+READERS = {
+    "corpus.jsonl": [
+        ["stats", "{w}/corpus.jsonl"],
+        ["augment", "{w}/corpus.jsonl", "{o}/augmented.jsonl", "--seed", "7"],
+        ["snapshot", "{w}/corpus.jsonl", "{o}/snapshots.jsonl"],
+        ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{o}/scores.jsonl"],
+        ["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
+         "--out", "{o}/layer.json"],
+        ["evidence", "{w}/corpus.jsonl", "{w}/preds.jsonl", "{o}/evidence.jsonl"],
+        ["score", "--corpus", "{w}/corpus.jsonl", "--preds", "{w}/preds.jsonl",
+         "--evidence", "{w}/evidence.jsonl", "--out", "{o}/report.json"]],
+    "snapshots.jsonl": [
+        ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{o}/scores.jsonl"]],
+    "scores.jsonl": [
+        ["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
+         "--out", "{o}/layer.json"],
+        ["predict", "{w}/scores.jsonl", "--layer", "{w}/layer.json",
+         "--out", "{o}/preds.jsonl"]],
+    "layer.json": [
+        ["predict", "{w}/scores.jsonl", "--layer", "{w}/layer.json",
+         "--out", "{o}/preds.jsonl"]],
+    "preds.jsonl": [
+        ["evidence", "{w}/corpus.jsonl", "{w}/preds.jsonl", "{o}/evidence.jsonl"],
+        ["score", "--corpus", "{w}/corpus.jsonl", "--preds", "{w}/preds.jsonl",
+         "--out", "{o}/report.json"]],
+    "evidence.jsonl": [
+        ["score", "--corpus", "{w}/corpus.jsonl", "--evidence", "{w}/evidence.jsonl",
+         "--out", "{o}/report.json"]],
+}
+
+_scalars = (st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+            | st.text(max_size=8))
+# One strategy per JSON value type; integers and fractional numbers count apart.
+JSON_VALUES = {
+    type(None): st.none(), bool: st.booleans(), int: st.integers(-10**6, 10**6),
+    float: st.floats(), str: st.text(max_size=8),
+    list: st.lists(_scalars, max_size=3),
+    dict: st.dictionaries(st.text(max_size=4), _scalars, max_size=3),
+}
+
+
+class TestMutatedInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_zero_or_reported(self, pipeline_dir, tmp_path_factory, data):
+        """One field of one record set to a value of another type: the
+        subcommand reading the file succeeds or reports `error: ` with exit
+        2, and never raises."""
+        name = data.draw(st.sampled_from(sorted(READERS)), "file")
+        argv = data.draw(st.sampled_from(READERS[name]), "argv")
+        text = (pipeline_dir / name).read_text()
+        lines = [text] if name.endswith(".json") else text.splitlines()
+        lineno = data.draw(st.integers(0, len(lines) - 1), "line")
+        record = json.loads(lines[lineno])
+        field = data.draw(st.sampled_from(sorted(record)), "field")
+        kind = data.draw(st.sampled_from(
+            [k for k in JSON_VALUES if k is not type(record[field])]), "type")
+        record[field] = data.draw(JSON_VALUES[kind], "value")
+        lines[lineno] = json.dumps(record)
+
+        out = tmp_path_factory.mktemp("mutated")
+        (out / name).write_text("\n".join(lines) + "\n")
+        argv = [arg.format(w=pipeline_dir, o=out) for arg in argv]
+        argv = [str(out / name) if arg == f"{pipeline_dir}/{name}" else arg for arg in argv]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+        assert code == 0 or (code == 2 and stderr.getvalue().startswith("error: ")), \
+            (code, stderr.getvalue())
 
 
 class TestFixtureScript:
