@@ -50,17 +50,12 @@ class ScoreVector:
             raise ScoreFileError(f"scores must be finite numbers, got {self.scores}")
 
 
-@dataclass(frozen=True)
-class LinearizedInput:
-    tokens: tuple
-
-
 def linearize(statement, table, snap, abbrevs=None):
     """Flatten (statement, snapshot table) into one marker-delimited token
     sequence: [CLS] statement [SEP] header rows then selected body rows,
     row-major, cells separated by [SEP-CELL].
 
-    Tokens are surface tokens (lowercased, abbreviation-expanded, unstemmed).
+    Returns a tuple of surface tokens (lowercased, abbreviation-expanded, unstemmed).
     """
     if snap.table_id != table.table_id or snap.stmt_id != statement.stmt_id:
         raise SnapshotMismatchError(
@@ -77,7 +72,7 @@ def linearize(statement, table, snap, abbrevs=None):
         if i:
             tokens.append(SEP_CELL)
         tokens.extend(textnorm.normalize(cell, abbrevs, stemming=False))
-    return LinearizedInput(tuple(tokens))
+    return tuple(tokens)
 
 
 def lexical_baseline(statement, table, snap, abbrevs=None,

@@ -2,9 +2,9 @@
 
 Subcommands: parse, stats, augment, snapshot, baseline, ensemble-train,
 predict, evidence, score.  Every run writes a manifest
-(<output>.manifest.json) recording the subcommand, resolved options, paths,
-tool version and timestamp; reruns with identical inputs and flags produce
-identical outputs (manifest timestamp aside).
+(<output>.manifest.json) recording the subcommand, every parsed option plus
+the values resolved from the input, tool version and timestamp; reruns with
+identical inputs and flags produce identical outputs (manifest timestamp aside).
 
 Log level comes from the TABFACT_KIT_LOG environment variable.
 """
@@ -32,15 +32,18 @@ def _tool_version():
         return "unknown"
 
 
-def _write_manifest(out_path, subcommand, options):
+def _write_manifest(args, **resolved):
+    """Record every parsed option of ``args``, with ``resolved`` values (such
+    as defaults computed from the input) added or put in their place."""
+    options = {k: v for k, v in vars(args).items() if k not in ("fn", "command")}
     manifest = {
-        "subcommand": subcommand,
-        "options": options,
-        "output": str(out_path),
+        "subcommand": args.command,
+        "options": {**options, **resolved},
+        "output": str(args.out),
         "tool_version": _tool_version(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    corpus.write_json(manifest, str(out_path) + ".manifest.json")
+    corpus.write_json(manifest, str(args.out) + ".manifest.json")
 
 
 def _load_abbrevs(path):
@@ -70,7 +73,7 @@ def cmd_parse(args):
             failures.append(path)
             log.error("%s: %s", path, exc)
     corpus.write_corpus(docs, args.out)
-    _write_manifest(args.out, "parse", {"in_dir": str(in_dir)})
+    _write_manifest(args)
     log.info("wrote %d tables to %s", len(docs), args.out)
     if failures:
         print(f"{len(failures)} file(s) failed to parse", file=sys.stderr)
@@ -93,7 +96,7 @@ def cmd_stats(args):
     print("\n".join(lines))
     if args.out:
         corpus.write_json(stats.to_json(), args.out)
-        _write_manifest(args.out, "stats", {"corpus": args.corpus})
+        _write_manifest(args)
     return 0
 
 
@@ -110,10 +113,7 @@ def cmd_augment(args):
     for w in warnings:
         log.warning("table %s: appended %d of %d requested unknown statements",
                     w["table_id"], w["appended"], w["requested"])
-    _write_manifest(args.out, "augment", {
-        "corpus": args.corpus, "external": args.external, "seed": args.seed,
-        "ratio": args.ratio, "guard_threshold": args.guard_threshold,
-        "warnings": warnings})
+    _write_manifest(args, warnings=warnings)
     return 0
 
 
@@ -130,8 +130,7 @@ def cmd_snapshot(args):
             records.append({"table_id": snap.table_id, "stmt_id": snap.stmt_id,
                             "rows": list(snap.row_indices), "k": snap.k})
     corpus.write_jsonl(records, args.out)
-    _write_manifest(args.out, "snapshot", {
-        "corpus": args.corpus, "rows_r": r_rows, "ngrams": list(n_values)})
+    _write_manifest(args, rows_r=r_rows, ngrams=list(n_values))
     return 0
 
 
@@ -162,23 +161,25 @@ def cmd_baseline(args):
             score_vectors.append(classify.lexical_baseline(
                 st, view, snap, n_values=n_values, model_name=args.model_name))
     classify.write_scores(score_vectors, args.out)
-    _write_manifest(args.out, "baseline", {
-        "corpus": args.corpus, "snapshots": args.snapshots,
-        "ngrams": list(n_values), "model_name": args.model_name})
+    _write_manifest(args, ngrams=list(n_values))
     return 0
 
 
 def _group_scores(score_files):
     """All score vectors, grouped by (table_id, stmt_id); model order = first
-    appearance across the files."""
+    appearance across the files.  A (model, table_id, stmt_id) key may appear
+    in only one file."""
     grouped = {}
-    model_names = []
+    first_seen = {}
     for path in score_files:
         for sv in classify.read_scores(path):
-            grouped.setdefault((sv.table_id, sv.stmt_id), []).append(sv)
-            if sv.model_name not in model_names:
-                model_names.append(sv.model_name)
-    return grouped, tuple(model_names)
+            key = (sv.model_name, sv.table_id, sv.stmt_id)
+            if key in first_seen:
+                raise classify.ScoreFileError(
+                    f"{path}: duplicate record for {key}, also in {first_seen[key]}")
+            first_seen[key] = path
+            grouped.setdefault(key[1:], []).append(sv)
+    return grouped, tuple(dict.fromkeys(model for model, _, _ in first_seen))
 
 
 def cmd_ensemble_train(args):
@@ -197,10 +198,7 @@ def cmd_ensemble_train(args):
     layer, trace = ensemble.train(examples, config, model_names)
     layer.save(args.out, config)
     log.info("trained on %d examples; final loss %.6f", len(examples), trace[-1])
-    _write_manifest(args.out, "ensemble-train", {
-        "corpus": args.corpus, "scores": list(args.scores), "lr": args.lr,
-        "epochs": args.epochs, "l2": args.l2, "seed": args.seed,
-        "final_loss": trace[-1]})
+    _write_manifest(args, final_loss=trace[-1])
     return 0
 
 
@@ -218,9 +216,7 @@ def cmd_predict(args):
         records.append({"table_id": table_id, "stmt_id": stmt_id,
                         "label": label.value})
     corpus.write_jsonl(records, args.out)
-    _write_manifest(args.out, "predict", {
-        "scores": list(args.scores), "layer": args.layer,
-        "majority": args.majority})
+    _write_manifest(args)
     return 0
 
 
@@ -249,16 +245,13 @@ def cmd_evidence(args):
                 # all-irrelevant map so downstream scoring has full coverage.
                 verdicts = ((False,) * doc.n_cols,) * doc.n_rows
             else:
-                emap, rtrace = evidence.find_evidence(st, view, label)
-                verdicts = emap.verdicts
+                verdicts, trace = evidence.find_evidence(st, view, label)
                 if args.trace:
-                    rec["trace"] = [[list(cell) for cell in row] for row in rtrace.cells]
+                    rec["trace"] = [[list(cell) for cell in row] for row in trace]
             rec["relevant_rle"] = evidence.rle_encode(verdicts)
             records.append(rec)
     corpus.write_jsonl(records, args.out)
-    _write_manifest(args.out, "evidence", {
-        "corpus": args.corpus, "predictions": args.predictions,
-        "use_gold_taska": args.use_gold_taska})
+    _write_manifest(args)
     return 0
 
 
@@ -269,23 +262,30 @@ def _read_evidence(path):
         STATEMENT_KEY, ValueError)
 
 
+def _score(path, scorer, *args):
+    """``scorer(*args)``, naming ``path`` in a ScoringError about its records."""
+    try:
+        return scorer(*args)
+    except scoring.ScoringError as exc:
+        raise scoring.ScoringError(f"{path}: {exc}") from exc
+
+
 def cmd_score(args):
     docs = corpus.read_corpus(args.corpus)
     average = "micro" if args.micro else "macro"
     report = {}
     if args.preds:
-        task_a = scoring.score_task_a(_read_predictions(args.preds), docs, average)
+        task_a = _score(args.preds, scoring.score_task_a,
+                        _read_predictions(args.preds), docs, average)
         report["task_a"] = task_a.to_json()
         print(f"task A 2-way F1: {task_a.overall_2way:.4f}")
         print(f"task A 3-way F1: {task_a.overall_3way:.4f}")
     if args.evidence:
-        task_b = scoring.score_task_b(_read_evidence(args.evidence), docs)
+        task_b = _score(args.evidence, scoring.score_task_b, _read_evidence(args.evidence), docs)
         report["task_b"] = task_b.to_json()
         print(f"task B cell F1: {task_b.overall:.4f}")
     corpus.write_json(report, args.out)
-    _write_manifest(args.out, "score", {
-        "corpus": args.corpus, "preds": args.preds, "evidence": args.evidence,
-        "average": average})
+    _write_manifest(args, average=average)
     return 0
 
 

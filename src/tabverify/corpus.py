@@ -71,18 +71,11 @@ class Label(enum.Enum):
 
 
 @dataclass(frozen=True)
-class EvidenceVersion:
-    """One gold minimal set of relevant cells, as (row, col) pairs."""
-
-    relevant_cells: frozenset
-
-
-@dataclass(frozen=True)
 class Statement:
     stmt_id: str
     text: str
     gold_label: Label | None = None
-    gold_evidence: tuple | None = None  # tuple of EvidenceVersion
+    gold_evidence: tuple | None = None  # per gold version, a frozenset of (row, col)
 
 
 @dataclass(frozen=True)
@@ -124,10 +117,10 @@ def _check_statements(grid, statements, table_id):
         seen.add(st.stmt_id)
         if not st.text:
             raise SchemaError(f"statement {st.stmt_id!r} has empty text")
-        for version in st.gold_evidence or ():
-            if not version.relevant_cells:
+        for cells in st.gold_evidence or ():
+            if not cells:
                 raise SchemaError(f"statement {st.stmt_id!r} has an empty evidence version")
-            for r, c in version.relevant_cells:
+            for r, c in cells:
                 if not (isinstance(r, int) and isinstance(c, int)
                         and 0 <= r < n_rows and 0 <= c < n_cols):
                     raise SchemaError(
@@ -194,17 +187,14 @@ def parse_xml(data):
             label = None
             if st.get("type") is not None:
                 label = Label.parse(st.get("type"))
-            versions = []
-            for ev in st.findall("evidence"):
-                cells = frozenset(
-                    (_int_attr(c, "row"), _int_attr(c, "col")) for c in ev.findall("cell")
-                )
-                versions.append(EvidenceVersion(cells))
+            versions = tuple(
+                frozenset((_int_attr(c, "row"), _int_attr(c, "col")) for c in ev.findall("cell"))
+                for ev in st.findall("evidence"))
             statements.append(Statement(
                 stmt_id=stmt_id,
                 text=st.get("text") or (st.text or "").strip(),
                 gold_label=label,
-                gold_evidence=tuple(versions) or None,
+                gold_evidence=versions or None,
             ))
 
     return make_document(doc_id, table_id, _elem_text(table, "caption"),
@@ -279,7 +269,7 @@ def _statement_to_json(st):
         "text": st.text,
         "label": st.gold_label.value if st.gold_label else None,
         "evidence": (
-            [sorted([r, c] for r, c in v.relevant_cells) for v in st.gold_evidence]
+            [sorted([r, c] for r, c in cells) for cells in st.gold_evidence]
             if st.gold_evidence is not None else None
         ),
     }
@@ -293,7 +283,7 @@ def _statement_from_json(obj):
         text=json_field(obj, "text", str),
         gold_label=None if label is None else Label.parse(label),
         gold_evidence=None if evidence is None else tuple(
-            EvidenceVersion(frozenset((r, c) for r, c in version))
+            frozenset((r, c) for r, c in version)
             for version in json_field(obj, "evidence", list, list)),
     )
 

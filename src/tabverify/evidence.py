@@ -18,8 +18,6 @@ Task B and rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import textnorm
 from .corpus import Label
 
@@ -30,24 +28,10 @@ class TaskBExclusionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EvidenceMap:
-    table_id: str
-    stmt_id: str
-    verdicts: tuple  # grid-shaped tuple of tuple of bool
-
-    def relevant_cells(self):
-        return {(r, c) for r, row in enumerate(self.verdicts)
-                for c, v in enumerate(row) if v}
-
-
-@dataclass(frozen=True)
-class RuleTrace:
-    cells: tuple  # grid-shaped tuple of tuple of tuple-of-rule-ids
-
-
 def find_evidence(statement, table, taska_label, abbrevs=None):
-    """Apply the rule engine; returns (EvidenceMap, RuleTrace).
+    """Apply the rule engine; returns ``(verdicts, trace)``, two grid-shaped
+    tuples of rows: a bool per cell, and per cell the sorted ids of the rules
+    that fired there.
 
     ``table`` is a TableDocument or a ``textnorm.TableView`` of one, as for
     ``snapshot.select_snapshot``.
@@ -59,8 +43,7 @@ def find_evidence(statement, table, taska_label, abbrevs=None):
     if taska_label == Label.ENTAILED:
         verdicts = tuple(tuple(True for _ in range(n_cols)) for _ in range(n_rows))
         trace = tuple(tuple((ALL_ENTAILED,) for _ in range(n_cols)) for _ in range(n_rows))
-        return (EvidenceMap(view.table_id, statement.stmt_id, verdicts),
-                RuleTrace(trace))
+        return verdicts, trace
 
     bag = set(textnorm.normalize(statement.text, view.abbrevs))
     header_rows = min(view.header_rows, n_rows)
@@ -89,8 +72,7 @@ def find_evidence(statement, table, taska_label, abbrevs=None):
                      for r in range(n_rows))
     trace = tuple(tuple(tuple(sorted(fired[r][c])) for c in range(n_cols))
                   for r in range(n_rows))
-    return (EvidenceMap(view.table_id, statement.stmt_id, verdicts),
-            RuleTrace(trace))
+    return verdicts, trace
 
 
 def rle_encode(verdicts):
@@ -111,13 +93,15 @@ def rle_encode(verdicts):
 
 
 def rle_decode(runs, n_rows, n_cols):
-    flat = []
-    current = False
+    # Check the runs before expanding them, so a huge run allocates nothing.
     for count in runs:
         if count < 0:
             raise ValueError(f"negative run length {count}")
+    if sum(runs) != n_rows * n_cols:
+        raise ValueError(f"run lengths sum to {sum(runs)}, expected {n_rows * n_cols}")
+    flat = []
+    current = False
+    for count in runs:
         flat.extend([current] * count)
         current = not current
-    if len(flat) != n_rows * n_cols:
-        raise ValueError(f"run lengths sum to {len(flat)}, expected {n_rows * n_cols}")
     return tuple(tuple(flat[r * n_cols:(r + 1) * n_cols]) for r in range(n_rows))

@@ -179,7 +179,7 @@ def score_task_b(pred_maps, gold_corpus):
                         f"table is {doc.n_rows}x{doc.n_cols}")
                 pred = {(r, c) for r in range(rows) for c in range(cols) if pred[r][c]}
             best = max(
-                (_cell_prf(pred, set(v.relevant_cells)) for v in st.gold_evidence),
+                (_cell_prf(pred, cells) for cells in st.gold_evidence),
                 key=lambda prf: prf[2],
             )
             report.per_statement[key] = {

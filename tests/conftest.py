@@ -3,7 +3,7 @@ import pathlib
 import pytest
 from hypothesis import strategies as st
 
-from tabverify.corpus import Label, Statement, EvidenceVersion, make_document
+from tabverify.corpus import Label, Statement, make_document
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -18,7 +18,7 @@ def make_table(rows, table_id="t", header_rows=1, statements=(), doc_id="d",
 def make_statement(stmt_id, text, label=None, evidence=None):
     versions = None
     if evidence is not None:
-        versions = tuple(EvidenceVersion(frozenset(v)) for v in evidence)
+        versions = tuple(frozenset(v) for v in evidence)
     return Statement(stmt_id, text, label, versions)
 
 

@@ -130,9 +130,9 @@ def test_evidence_oracle_equivalence_1000():
     rng = random.Random(424242)
     for _ in range(1000):
         table, stmt = random_case(rng, vocab_size=10, max_dim=6)
-        emap, trace = ev.find_evidence(stmt, table, Label.REFUTED)
-        assert emap.verdicts == evidence_brute_force(stmt, table)
-        for row in trace.cells:
+        verdicts, trace = ev.find_evidence(stmt, table, Label.REFUTED)
+        assert verdicts == evidence_brute_force(stmt, table)
+        for row in trace:
             for fired in row:
                 if "3" in fired:
                     assert "1" in fired and "2" in fired

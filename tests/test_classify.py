@@ -19,20 +19,20 @@ class TestLinearize:
         table = make_table([["3"]], header_rows=0, table_id="t")
         stmt = make_statement("s", "x is 3")
         snap = snap_all_body(table, stmt)
-        out = classify.linearize(stmt, table, snap)
-        assert out.tokens == ("[CLS]", "x", "is", "3", "[SEP]", "3")
+        tokens = classify.linearize(stmt, table, snap)
+        assert tokens == ("[CLS]", "x", "is", "3", "[SEP]", "3")
 
     def test_empty_statement(self):
         table = make_table([["a"]], header_rows=0)
         stmt = make_statement("s", "?")  # normalizes to no tokens
-        out = classify.linearize(stmt, table, snap_all_body(table, stmt))
-        assert out.tokens == ("[CLS]", "[SEP]", "a")
+        tokens = classify.linearize(stmt, table, snap_all_body(table, stmt))
+        assert tokens == ("[CLS]", "[SEP]", "a")
 
     def test_rows_in_ascending_order_with_cell_separators(self):
         table = make_table([["h1", "h2"], ["a", "b"], ["c", "d"]], header_rows=1)
         stmt = make_statement("s", "q")
-        out = classify.linearize(stmt, table, snap_all_body(table, stmt))
-        assert out.tokens == (
+        tokens = classify.linearize(stmt, table, snap_all_body(table, stmt))
+        assert tokens == (
             "[CLS]", "q", "[SEP]",
             "h1", "[SEP-CELL]", "h2", "[SEP-CELL]",
             "a", "[SEP-CELL]", "b", "[SEP-CELL]",
@@ -41,8 +41,8 @@ class TestLinearize:
     def test_surface_tokens_not_stemmed(self):
         table = make_table([["cells"]], header_rows=0)
         stmt = make_statement("s", "defined")
-        out = classify.linearize(stmt, table, snap_all_body(table, stmt))
-        assert "defined" in out.tokens and "cells" in out.tokens
+        tokens = classify.linearize(stmt, table, snap_all_body(table, stmt))
+        assert "defined" in tokens and "cells" in tokens
 
     def test_mismatched_snapshot_rejected(self):
         table = make_table([["a"]], table_id="t1", header_rows=0)
@@ -54,10 +54,10 @@ class TestLinearize:
     def test_exactly_one_cls_and_sep(self):
         table = make_table([["sep cls"]], header_rows=0)
         stmt = make_statement("s", "cls sep tokens")
-        out = classify.linearize(stmt, table, snap_all_body(table, stmt))
-        assert out.tokens[0] == "[CLS]"
-        assert out.tokens.count("[CLS]") == 1
-        assert out.tokens.count("[SEP]") == 1
+        tokens = classify.linearize(stmt, table, snap_all_body(table, stmt))
+        assert tokens[0] == "[CLS]"
+        assert tokens.count("[CLS]") == 1
+        assert tokens.count("[SEP]") == 1
 
 
 class TestLexicalBaseline:

@@ -92,8 +92,25 @@ class TestEndToEnd:
     def test_smoke_reproduces_frozen_reports(self, fixtures_dir, tmp_path):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
         expected = fixtures_dir / "expected"
-        for name in ["stats.json", "preds.jsonl", "report.json"]:
+        for name in ["stats.json", "preds.jsonl", "evidence.jsonl", "report.json"]:
             assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+    def test_evidence_trace_reproduces_frozen_file(self, pipeline_dir, fixtures_dir, tmp_path):
+        out = tmp_path / "evidence_trace.jsonl"
+        assert run(["evidence", f"{pipeline_dir}/corpus.jsonl", f"{pipeline_dir}/preds.jsonl",
+                    str(out), "--trace"]) == 0
+        assert out.read_bytes() == (fixtures_dir / "expected" / out.name).read_bytes()
+
+    def test_predict_on_split_score_file(self, pipeline_dir, tmp_path):
+        """One model's scores split across two files predict as the whole file."""
+        lines = (pipeline_dir / "scores.jsonl").read_text().splitlines(keepends=True)
+        halves = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        halves[0].write_text("".join(lines[:len(lines) // 2]))
+        halves[1].write_text("".join(lines[len(lines) // 2:]))
+        out = tmp_path / "preds.jsonl"
+        assert run(["predict", *map(str, halves), "--layer", f"{pipeline_dir}/layer.json",
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == (pipeline_dir / "preds.jsonl").read_bytes()
 
     def test_idempotent_across_runs(self, fixtures_dir, tmp_path):
         a = tmp_path / "a"
@@ -153,6 +170,8 @@ BASELINE = ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{w}/scores2.
 PREDICT = ["predict", "{w}/scores.jsonl", "--layer", "{w}/layer.json",
            "--out", "{w}/preds2.jsonl"]
 EVIDENCE = ["evidence", "{w}/corpus.jsonl", "{w}/preds.jsonl", "{w}/evidence2.jsonl"]
+SCORE_EVIDENCE = ["score", "--corpus", "{w}/corpus.jsonl", "--evidence", "{w}/evidence.jsonl",
+                  "--out", "{w}/report2.json"]
 
 
 def set_field(name, value):
@@ -207,12 +226,23 @@ class TestJsonlBoundary:
         not_body_rows([-1]),
         not_body_rows([0]),
         not_body_rows([999]),
+        ("preds.jsonl", 2, lambda line: "", SCORE_PREDS,
+         "{w}/preds.jsonl: missing prediction for statement (t1, s2)"),
+        ("evidence.jsonl", 2, lambda line: "", SCORE_EVIDENCE,
+         "{w}/evidence.jsonl: missing evidence prediction for ('t1', 's2')"),
+        ("evidence.jsonl", 1, lambda line: set_field("n_cols", 6)(set_field("n_rows", 2)(line)),
+         SCORE_EVIDENCE, "{w}/evidence.jsonl: evidence grid for ('t1', 's1') is 2x6, "
+         "table is 4x3"),
+        ("scores.jsonl", 1, lambda line: line, ["predict", "{w}/scores.jsonl", *PREDICT[1:]],
+         "{w}/scores.jsonl: duplicate record for ('lexical', 't1', 's1'), "
+         "also in {w}/scores.jsonl"),
     ], ids=["missing-snapshot", "missing-field", "invalid-json", "duplicate-prediction",
             "duplicate-snapshot", "duplicate-evidence", "duplicate-table",
             "grid-type", "header-rows-type", "statements-null", "corpus-line-not-object",
             "scores-type", "score-item-type", "score-id-type", "duplicate-score",
             "missing-prediction", "snapshot-row-negative", "snapshot-row-header",
-            "snapshot-row-past-end"])
+            "snapshot-row-past-end", "score-missing-prediction", "score-missing-evidence",
+            "score-evidence-shape", "duplicate-score-across-files"])
     def test_bad_record_reports_location(self, fixtures_dir, tmp_path, capsys,
                                          name, lineno, rewrite, argv, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -323,6 +353,46 @@ class TestMutatedInputs:
             code = run(argv)
         assert code == 0 or (code == 2 and stderr.getvalue().startswith("error: ")), \
             (code, stderr.getvalue())
+
+
+ABBREVS = pathlib.Path(cli.__file__).parent / "data" / "abbreviations.tsv"
+# Every subcommand with every option given; {w} is the pipeline directory, {o}
+# a fresh output directory.
+EVERY_OPTION = [
+    ["parse", str(FIXTURES / "corpus"), "{o}/corpus.jsonl"],
+    ["stats", "{w}/corpus.jsonl", "--out", "{o}/stats.json"],
+    ["augment", "{w}/corpus.jsonl", "{o}/augmented.jsonl", "--external", "{w}/corpus.jsonl",
+     "--seed", "3", "--ratio", "0.25", "--guard-threshold", "0.4", "--abbrev-file", str(ABBREVS)],
+    ["snapshot", "{w}/corpus.jsonl", "{o}/snapshots.jsonl", "--rows-R", "2", "--ngrams", "1",
+     "--abbrev-file", str(ABBREVS)],
+    ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{o}/scores.jsonl", "--ngrams", "1",
+     "--abbrev-file", str(ABBREVS), "--model-name", "lex2"],
+    ["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
+     "--out", "{o}/layer.json", "--lr", "0.2", "--epochs", "5", "--l2", "0.01", "--seed", "1"],
+    ["predict", "{w}/scores.jsonl", "--layer", "{w}/layer.json", "--out", "{o}/preds.jsonl",
+     "--majority"],
+    ["evidence", "{w}/corpus.jsonl", "{w}/preds.jsonl", "{o}/evidence.jsonl",
+     "--use-gold-taskA", "--abbrev-file", str(ABBREVS), "--trace"],
+    ["score", "--corpus", "{w}/corpus.jsonl", "--preds", "{w}/preds.jsonl",
+     "--evidence", "{w}/evidence.jsonl", "--out", "{o}/report.json", "--micro"],
+]
+# Options the manifest records as resolved from the input, not as parsed.
+RESOLVED = {"rows_r", "ngrams"}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv", EVERY_OPTION, ids=[argv[0] for argv in EVERY_OPTION])
+    def test_records_every_parsed_option(self, pipeline_dir, tmp_path, capsys, argv):
+        argv = [arg.format(w=pipeline_dir, o=tmp_path) for arg in argv]
+        args = cli.build_parser().parse_args(argv)
+        assert run(argv) == 0
+        manifest = json.loads(pathlib.Path(args.out + ".manifest.json").read_text())
+        assert manifest["subcommand"] == argv[0]
+        parsed = {k: v for k, v in vars(args).items() if k not in ("fn", "command")}
+        options = manifest["options"]
+        assert set(parsed) <= set(options), set(parsed) - set(options)
+        assert {k: options[k] for k in parsed if k not in RESOLVED} == \
+            {k: v for k, v in parsed.items() if k not in RESOLVED}
 
 
 class TestFixtureScript:

@@ -63,7 +63,7 @@ class TestParseXml:
             b'<statements><statement id="s" text="x" type="entailed">'
             b'<evidence><cell row="0" col="1"/></evidence>'
             b'</statement></statements></table></document>')
-        assert doc.statements[0].gold_evidence[0].relevant_cells == {(0, 1)}
+        assert doc.statements[0].gold_evidence[0] == {(0, 1)}
 
     def test_out_of_bounds_evidence(self):
         with pytest.raises(cp.SchemaError, match="out of bounds"):

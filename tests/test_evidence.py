@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -39,13 +40,17 @@ def brute_force(statement, table, abbrevs=None):
     return tuple(tuple(row) for row in relevant)
 
 
+def relevant_cells(verdicts):
+    return {(r, c) for r, row in enumerate(verdicts) for c, v in enumerate(row) if v}
+
+
 class TestFindEvidence:
     def test_entailed_short_circuit(self):
         table = make_table([["h1", "h2"], ["a", "b"]])
         stmt = make_statement("s", "whatever")
-        emap, trace = ev.find_evidence(stmt, table, Label.ENTAILED)
-        assert all(all(row) for row in emap.verdicts)
-        assert all(cell == (ev.ALL_ENTAILED,) for row in trace.cells for cell in row)
+        verdicts, trace = ev.find_evidence(stmt, table, Label.ENTAILED)
+        assert all(all(row) for row in verdicts)
+        assert all(cell == (ev.ALL_ENTAILED,) for row in trace for cell in row)
 
     def test_unknown_rejected(self):
         table = make_table([["h"], ["a"]])
@@ -57,17 +62,17 @@ class TestFindEvidence:
                             ["ann", "4", "2001"],
                             ["bob", "7", "2002"]])
         stmt = make_statement("s", "the score went up")
-        emap, trace = ev.find_evidence(stmt, table, Label.REFUTED)
-        assert emap.verdicts == brute_force(stmt, table)
-        assert emap.relevant_cells() == {(1, 1), (2, 1), (0, 1)}
+        verdicts, trace = ev.find_evidence(stmt, table, Label.REFUTED)
+        assert verdicts == brute_force(stmt, table)
+        assert relevant_cells(verdicts) == {(1, 1), (2, 1), (0, 1)}
         # (0,1) via rule 4 on the header cell itself; body cells via rule 1
-        assert "1" in trace.cells[1][1] and "1" in trace.cells[2][1]
+        assert "1" in trace[1][1] and "1" in trace[2][1]
 
     def test_no_shared_words_all_false(self):
         table = make_table([["h1", "h2"], ["a", "b"]])
         stmt = make_statement("s", "zz qq")
-        emap, _ = ev.find_evidence(stmt, table, Label.REFUTED)
-        assert not any(any(row) for row in emap.verdicts)
+        verdicts, _ = ev.find_evidence(stmt, table, Label.REFUTED)
+        assert not any(any(row) for row in verdicts)
 
     def test_rules_1_2_3_union(self):
         # "total" hits header col 1 and the first-column cell of body row 3
@@ -76,31 +81,31 @@ class TestFindEvidence:
                             ["pears", "2"],
                             ["total", "6"]])
         stmt = make_statement("s", "the total is wrong")
-        emap, trace = ev.find_evidence(stmt, table, Label.REFUTED)
-        assert emap.verdicts == brute_force(stmt, table)
+        verdicts, trace = ev.find_evidence(stmt, table, Label.REFUTED)
+        assert verdicts == brute_force(stmt, table)
         # rule 1: body cells of column 1; rule 2: all of row 3; rule 3: (3,1)
-        assert {(1, 1), (2, 1), (3, 1), (3, 0)} <= emap.relevant_cells()
-        assert "3" in trace.cells[3][1]
-        assert "1" in trace.cells[1][1] and "2" in trace.cells[3][0]
+        assert {(1, 1), (2, 1), (3, 1), (3, 0)} <= relevant_cells(verdicts)
+        assert "3" in trace[3][1]
+        assert "1" in trace[1][1] and "2" in trace[3][0]
 
     def test_multi_token_cell_matches_any_token(self):
         table = make_table([["h"], ["mean value"]])
         stmt = make_statement("s", "the mean")
-        emap, _ = ev.find_evidence(stmt, table, Label.REFUTED)
-        assert emap.verdicts[1][0]
+        verdicts, _ = ev.find_evidence(stmt, table, Label.REFUTED)
+        assert verdicts[1][0]
 
     def test_abbreviations_align(self):
         abbrevs = tn.make_abbrev_table([("no", "number")])
         table = make_table([["no"], ["5"]])
         stmt = make_statement("s", "the number")
-        emap, _ = ev.find_evidence(stmt, table, Label.REFUTED, abbrevs)
-        assert emap.verdicts[1][0]  # rule 1 via expanded header token
+        verdicts, _ = ev.find_evidence(stmt, table, Label.REFUTED, abbrevs)
+        assert verdicts[1][0]  # rule 1 via expanded header token
 
     def test_dimensions_match_grid(self):
         table = make_table([["a", "b", "c"], ["d", "e", "f"]])
-        emap, trace = ev.find_evidence(make_statement("s", "d"), table, Label.REFUTED)
-        assert len(emap.verdicts) == 2 and all(len(r) == 3 for r in emap.verdicts)
-        assert len(trace.cells) == 2 and all(len(r) == 3 for r in trace.cells)
+        verdicts, trace = ev.find_evidence(make_statement("s", "d"), table, Label.REFUTED)
+        assert len(verdicts) == 2 and all(len(r) == 3 for r in verdicts)
+        assert len(trace) == 2 and all(len(r) == 3 for r in trace)
 
 
 def random_case(rng, vocab_size=10, max_dim=6):
@@ -121,18 +126,18 @@ class TestOracleEquivalence:
         for _ in range(400):
             table, stmt = random_case(rng)
             label = rng.choice([Label.ENTAILED, Label.REFUTED])
-            emap, _ = ev.find_evidence(stmt, table, label)
+            verdicts, _ = ev.find_evidence(stmt, table, label)
             if label == Label.ENTAILED:
-                assert all(all(row) for row in emap.verdicts)
+                assert all(all(row) for row in verdicts)
             else:
-                assert emap.verdicts == brute_force(stmt, table)
+                assert verdicts == brute_force(stmt, table)
 
     def test_rule3_subset_of_rules_1_and_2(self):
         rng = random.Random(88)
         for _ in range(400):
             table, stmt = random_case(rng)
             _, trace = ev.find_evidence(stmt, table, Label.REFUTED)
-            for row in trace.cells:
+            for row in trace:
                 for fired in row:
                     if "3" in fired:
                         assert "1" in fired and "2" in fired
@@ -144,16 +149,16 @@ class TestOracleEquivalence:
             extra = make_statement("s", stmt.text + " w0 w1")
             before, _ = ev.find_evidence(stmt, table, Label.REFUTED)
             after, _ = ev.find_evidence(extra, table, Label.REFUTED)
-            assert before.relevant_cells() <= after.relevant_cells()
+            assert relevant_cells(before) <= relevant_cells(after)
 
     def test_trace_nonempty_iff_relevant(self):
         rng = random.Random(55)
         for _ in range(100):
             table, stmt = random_case(rng)
-            emap, trace = ev.find_evidence(stmt, table, Label.REFUTED)
-            for r, row in enumerate(emap.verdicts):
+            verdicts, trace = ev.find_evidence(stmt, table, Label.REFUTED)
+            for r, row in enumerate(verdicts):
                 for c, verdict in enumerate(row):
-                    assert verdict == bool(trace.cells[r][c])
+                    assert verdict == bool(trace[r][c])
 
 
 class TestRle:
@@ -177,3 +182,13 @@ class TestRle:
     def test_negative_run_rejected(self):
         with pytest.raises(ValueError):
             ev.rle_decode([2, -1, 2, 1], 1, 5)
+
+    def test_oversized_run_rejected_before_expanding(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="sum to 10000000, expected 4"):
+                ev.rle_decode([10_000_000], 2, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak

@@ -62,7 +62,7 @@ def naive_task_b(pred_sets, gold_corpus):
             pred = pred_sets[(doc.table_id, st.stmt_id)]
             best = 0.0
             for version in st.gold_evidence:
-                gold = set(version.relevant_cells)
+                gold = set(version)
                 tp = len(pred & gold)
                 best = max(best, naive_prf(tp, len(pred) - tp, len(gold) - tp))
             stmt_scores.append(best)
