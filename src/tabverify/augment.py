@@ -56,10 +56,25 @@ def _table_unigram_bag(doc, abbrevs):
     return set(cell_tokens).union(textnorm.normalize(doc.caption, abbrevs))
 
 
-def _leak_fraction(stmt_unigrams, table_bag):
-    if not stmt_unigrams:
-        return 0.0
-    return len(stmt_unigrams & table_bag) / len(stmt_unigrams)
+def _donor_draws(rng, pool_size, eligible):
+    """Eligible pool indices to try, in order: up to MAX_REDRAWS eligible
+    random draws, then, only if none of the draws was eligible, every
+    eligible index in pool order.
+
+    Ineligible draws (same table, already used) do not count toward the
+    redraw budget; the cap of 1000 draws only bounds pathological streaks.
+    The RNG is advanced only as far as the caller consumes.
+    """
+    drawn = 0
+    for _ in range(1000):
+        if drawn == MAX_REDRAWS:
+            return
+        idx = rng.randrange(pool_size)
+        if eligible(idx):
+            drawn += 1
+            yield idx
+    if not drawn:
+        yield from filter(eligible, range(pool_size))
 
 
 def generate_unknown(corpus, config, abbrevs=None):
@@ -95,35 +110,15 @@ def generate_unknown(corpus, config, abbrevs=None):
         appended = []
         while len(appended) < quota and len(taken) < donor_count:
             best = None  # (leak fraction, pool index)
-            chosen = None
-            attempts = 0
-            tries = 0
-            # Same-table or already-used draws do not count toward the
-            # redraw budget; the tries cap only bounds pathological streaks.
-            while attempts < MAX_REDRAWS and tries < 1000:
-                tries += 1
-                idx = rng.randrange(len(pool))
-                if pool[idx][0] == pos or idx in taken:
-                    continue
-                attempts += 1
-                leak = _leak_fraction(pool[idx][2], table_bag)
+            for idx in _donor_draws(rng, len(pool),
+                                    lambda i: pool[i][0] != pos and i not in taken):
+                leak = textnorm.overlap_rate(pool[idx][2], table_bag)
                 if config.guard_threshold <= 0 or leak <= config.guard_threshold:
                     chosen = idx
                     break
                 if best is None or leak < best[0]:
                     best = (leak, idx)
-            if chosen is None and best is None:
-                # RNG never hit an eligible donor; scan deterministically.
-                for idx in range(len(pool)):
-                    if pool[idx][0] == pos or idx in taken:
-                        continue
-                    leak = _leak_fraction(pool[idx][2], table_bag)
-                    if config.guard_threshold <= 0 or leak <= config.guard_threshold:
-                        chosen = idx
-                        break
-                    if best is None or leak < best[0]:
-                        best = (leak, idx)
-            if chosen is None:
+            else:
                 chosen = best[1]
             taken.add(chosen)
             donor = pool[chosen][1]

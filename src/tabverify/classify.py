@@ -1,6 +1,6 @@
-"""Per-model classification scores: the linearized model input, a
-deterministic lexical baseline, and the JSON-lines score file boundary to
-external neural models.
+"""Per-model classification scores: a deterministic lexical baseline and
+the JSON-lines score file, the boundary through which external neural
+models enter the ensemble.
 
 Class order is fixed as [Entailed, Refuted, Unknown] everywhere.
 """
@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 from . import corpus, textnorm
 from .corpus import Label
 
-CLS = "[CLS]"
-SEP = "[SEP]"
-SEP_CELL = "[SEP-CELL]"
-
 CLASS_ORDER = (Label.ENTAILED, Label.REFUTED, Label.UNKNOWN)
 
 # Multiplier applied to the overlap score for the Refuted slot when the
@@ -26,10 +22,6 @@ NEGATION_FACTOR = 2.0
 
 
 class ScoreFileError(ValueError):
-    pass
-
-
-class SnapshotMismatchError(ValueError):
     pass
 
 
@@ -50,46 +42,18 @@ class ScoreVector:
             raise ScoreFileError(f"scores must be finite numbers, got {self.scores}")
 
 
-def linearize(statement, table, snap, abbrevs=None):
-    """Flatten (statement, snapshot table) into one marker-delimited token
-    sequence: [CLS] statement [SEP] header rows then selected body rows,
-    row-major, cells separated by [SEP-CELL].
+def lexical_baseline(statement, view, rows, n_values=(1, 2), model_name="lexical"):
+    """Deterministic stand-in classifier over the snapshot ``rows`` of
+    ``view`` (a ``textnorm.TableView``).
 
-    Returns a tuple of surface tokens (lowercased, abbreviation-expanded, unstemmed).
-    """
-    if snap.table_id != table.table_id or snap.stmt_id != statement.stmt_id:
-        raise SnapshotMismatchError(
-            f"snapshot ({snap.table_id}, {snap.stmt_id}) does not belong to "
-            f"({table.table_id}, {statement.stmt_id})")
-    tokens = [CLS]
-    tokens.extend(textnorm.normalize(statement.text, abbrevs, stemming=False))
-    tokens.append(SEP)
-    header = [r for r in range(min(table.header_rows, table.n_rows))]
-    cells = []
-    for r in header + list(snap.row_indices):
-        cells.extend(table.grid[r])
-    for i, cell in enumerate(cells):
-        if i:
-            tokens.append(SEP_CELL)
-        tokens.extend(textnorm.normalize(cell, abbrevs, stemming=False))
-    return tuple(tokens)
-
-
-def lexical_baseline(statement, table, snap, abbrevs=None,
-                     n_values=(1, 2), model_name="lexical"):
-    """Deterministic stand-in classifier.
-
-    Scores (o, n, 1-o), where o is the best overlap rate over snapshot rows
+    Scores (o, n, 1-o), where o is the best overlap rate over those rows
     and n = o * NEGATION_FACTOR when the statement carries a negation cue
-    (0 otherwise).  Scores are raw, not normalized.  ``table`` is a
-    TableDocument or a ``textnorm.TableView`` of one, as for
-    ``select_snapshot``.
+    (0 otherwise).  Scores are raw, not normalized.
     """
-    view = textnorm.TableView.of(table, abbrevs)
     stmt_tokens = textnorm.normalize(statement.text, view.abbrevs)
     stmt_grams = textnorm.ngram_set(stmt_tokens, n_values)
     o = 0.0
-    for idx in snap.row_indices:
+    for idx in rows:
         o = max(o, textnorm.overlap_rate(stmt_grams, view.row_grams(idx, n_values)))
     negated = bool(textnorm.NEGATION_TOKENS & set(stmt_tokens))
     n = o * NEGATION_FACTOR if negated else 0.0

@@ -60,7 +60,7 @@ STATEMENT_KEY = ("table_id", "stmt_id")
 def cmd_parse(args):
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
-        raise SystemExit(f"not a directory: {in_dir}")
+        raise ValueError(f"{in_dir}: not a directory")
     files = sorted(in_dir.glob("*.xml"))
     if not files:
         log.warning("no XML files in %s", in_dir)
@@ -126,18 +126,22 @@ def cmd_snapshot(args):
     for doc in docs:
         view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
-            snap = snapshot.select_snapshot(view, st, r_rows, n_values)
-            records.append({"table_id": snap.table_id, "stmt_id": snap.stmt_id,
-                            "rows": list(snap.row_indices), "k": snap.k})
+            rows = snapshot.select_snapshot(view, st, r_rows, n_values)
+            records.append({"table_id": doc.table_id, "stmt_id": st.stmt_id,
+                            "rows": list(rows), "k": len(rows)})
     corpus.write_jsonl(records, args.out)
     _write_manifest(args, rows_r=r_rows, ngrams=list(n_values))
     return 0
 
 
+def _snapshot_rows(obj):
+    rows = tuple(corpus.json_field(obj, "rows", list, int))
+    corpus.json_field(obj, "k", int)  # always len(rows); checked, not used
+    return rows
+
+
 def _read_snapshots(path):
-    return corpus.read_jsonl(path, lambda obj: snapshot.Snapshot(
-        obj["table_id"], obj["stmt_id"], tuple(corpus.json_field(obj, "rows", list, int)),
-        corpus.json_field(obj, "k", int)), STATEMENT_KEY, ValueError)
+    return corpus.read_jsonl(path, _snapshot_rows, STATEMENT_KEY, ValueError)
 
 
 def cmd_baseline(args):
@@ -150,16 +154,16 @@ def cmd_baseline(args):
         view = textnorm.TableView(doc, abbrevs)
         body = doc.body_row_indices
         for st in doc.statements:
-            snap = snaps.get((doc.table_id, st.stmt_id))
-            if snap is None:
+            rows = snaps.get((doc.table_id, st.stmt_id))
+            if rows is None:
                 raise ValueError(f"{args.snapshots}: no snapshot for table "
                                  f"{doc.table_id!r} statement {st.stmt_id!r}")
-            if not all(r in body for r in snap.row_indices):
-                raise ValueError(f"{args.snapshots}: snapshot rows {list(snap.row_indices)} "
+            if not all(r in body for r in rows):
+                raise ValueError(f"{args.snapshots}: snapshot rows {list(rows)} "
                                  f"for table {doc.table_id!r} statement {st.stmt_id!r} "
                                  "are not body rows")
             score_vectors.append(classify.lexical_baseline(
-                st, view, snap, n_values=n_values, model_name=args.model_name))
+                st, view, rows, n_values, args.model_name))
     classify.write_scores(score_vectors, args.out)
     _write_manifest(args, ngrams=list(n_values))
     return 0
@@ -226,6 +230,8 @@ def _read_predictions(path):
 
 
 def cmd_evidence(args):
+    if not (args.use_gold_taska or args.predictions):
+        raise ValueError("evidence requires a predictions file or --use-gold-taskA")
     docs = corpus.read_corpus(args.corpus)
     labels = {} if args.use_gold_taska else _read_predictions(args.predictions)
     abbrevs = _load_abbrevs(args.abbrev_file)
@@ -255,11 +261,24 @@ def cmd_evidence(args):
     return 0
 
 
-def _read_evidence(path):
-    return corpus.read_jsonl(path, lambda obj: evidence.rle_decode(
-        corpus.json_field(obj, "relevant_rle", list, int),
-        corpus.json_field(obj, "n_rows", int), corpus.json_field(obj, "n_cols", int)),
-        STATEMENT_KEY, ValueError)
+def _read_evidence(path, docs):
+    """Each record's verdict grid, decoded only once its claimed shape is the
+    shape of its corpus table; records of tables outside the corpus map to
+    None, undecoded."""
+    shapes = {doc.table_id: (doc.n_rows, doc.n_cols) for doc in docs}
+
+    def decode(obj):
+        runs = corpus.json_field(obj, "relevant_rle", list, int)
+        shape = (corpus.json_field(obj, "n_rows", int), corpus.json_field(obj, "n_cols", int))
+        table = shapes.get(obj["table_id"])
+        if table is None:
+            return None
+        if shape != table:
+            raise ValueError(f"evidence grid for {(obj['table_id'], obj['stmt_id'])} is "
+                             f"{shape[0]}x{shape[1]}, table is {table[0]}x{table[1]}")
+        return evidence.rle_decode(runs, *shape)
+
+    return corpus.read_jsonl(path, decode, STATEMENT_KEY, ValueError)
 
 
 def _score(path, scorer, *args):
@@ -281,7 +300,8 @@ def cmd_score(args):
         print(f"task A 2-way F1: {task_a.overall_2way:.4f}")
         print(f"task A 3-way F1: {task_a.overall_3way:.4f}")
     if args.evidence:
-        task_b = _score(args.evidence, scoring.score_task_b, _read_evidence(args.evidence), docs)
+        task_b = _score(args.evidence, scoring.score_task_b,
+                        _read_evidence(args.evidence, docs), docs)
         report["task_b"] = task_b.to_json()
         print(f"task B cell F1: {task_b.overall:.4f}")
     corpus.write_json(report, args.out)
@@ -375,8 +395,6 @@ def main(argv=None):
         level=os.environ.get("TABFACT_KIT_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    if args.command == "evidence" and not args.use_gold_taska and not args.predictions:
-        raise SystemExit("evidence requires a predictions file or --use-gold-taskA")
     try:
         return args.fn(args)
     except (corpus.CorpusError, ValueError, OSError) as exc:

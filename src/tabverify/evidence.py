@@ -1,5 +1,5 @@
-"""Evidence-cell rule engine: given a statement, a table and the statement's
-verdict, mark each cell relevant or irrelevant.
+"""Evidence-cell rule engine: given a statement, a table's ``TableView`` and
+the statement's verdict, mark each cell relevant or irrelevant.
 
 An Entailed verdict short-circuits to all-relevant.  Otherwise four rules
 fire off the statement's normalized word bag, matched by exact token
@@ -28,17 +28,14 @@ class TaskBExclusionError(ValueError):
     pass
 
 
-def find_evidence(statement, table, taska_label, abbrevs=None):
-    """Apply the rule engine; returns ``(verdicts, trace)``, two grid-shaped
+def find_evidence(statement, view, taska_label):
+    """Apply the rule engine to the table of ``view`` (a
+    ``textnorm.TableView``); returns ``(verdicts, trace)``, two grid-shaped
     tuples of rows: a bool per cell, and per cell the sorted ids of the rules
     that fired there.
-
-    ``table`` is a TableDocument or a ``textnorm.TableView`` of one, as for
-    ``snapshot.select_snapshot``.
     """
     if taska_label == Label.UNKNOWN:
         raise TaskBExclusionError("Task B excludes unknown statements")
-    view = textnorm.TableView.of(table, abbrevs)
     n_rows, n_cols = view.n_rows, view.n_cols
     if taska_label == Label.ENTAILED:
         verdicts = tuple(tuple(True for _ in range(n_cols)) for _ in range(n_rows))

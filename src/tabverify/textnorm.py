@@ -132,12 +132,11 @@ def stem(word):
         word = out
 
 
-def normalize(text, abbrevs=None, stemming=True):
+def normalize(text, abbrevs=None):
     """Normalize text to a token sequence.
 
     Stages, in order: lowercase, tokenize on non-alphanumeric boundaries,
-    expand abbreviations (single pass), stem.  ``stemming=False`` yields
-    surface tokens, used for model-input linearization.
+    expand abbreviations (single pass), stem.
     """
     tokens = _TOKEN_RE.findall(text.lower())
     if abbrevs:
@@ -145,9 +144,7 @@ def normalize(text, abbrevs=None, stemming=True):
         for tok in tokens:
             expanded.extend(abbrevs.get(tok, (tok,)))
         tokens = expanded
-    if stemming:
-        tokens = [stem(tok) for tok in tokens]
-    return tokens
+    return [stem(tok) for tok in tokens]
 
 
 def ngram_set(tokens, n_values=(1, 2)):
@@ -173,24 +170,17 @@ class TableView:
     every statement scored against the table.
 
     A view is built with the abbreviation table its text is normalized
-    with and carries it as ``abbrevs``.  Attributes the view does not define
-    read through to the table, so a view stands in for it.  The sets and
-    lists it returns are shared by every caller and must not be mutated.
+    with and carries it as ``abbrevs``; it is the one table input of the
+    per-table rules (``snapshot.select_snapshot``,
+    ``classify.lexical_baseline``, ``evidence.find_evidence``).  Attributes
+    the view does not define read through to the table.  The sets and lists
+    it returns are shared by every caller and must not be mutated.
     """
 
     def __init__(self, table, abbrevs=None):
         self.table = table
         self.abbrevs = abbrevs
         self._row_grams = {}
-
-    @classmethod
-    def of(cls, table, abbrevs=None):
-        """``table`` itself when it is a view already, else a new view of it."""
-        if isinstance(table, cls):
-            if abbrevs is not None:
-                raise ValueError("a TableView carries its own abbreviations")
-            return table
-        return cls(table, abbrevs)
 
     def __getattr__(self, name):
         if name == "table":  # not yet set, e.g. while copying

@@ -18,6 +18,7 @@ from tabverify import scoring
 from tabverify.augment import AugmentConfig, generate_unknown
 from tabverify.corpus import Label
 from tabverify.snapshot import select_snapshot
+from tabverify.textnorm import TableView
 
 from conftest import make_statement, make_table
 from test_cli import run_pipeline
@@ -95,8 +96,8 @@ def test_snapshot_oracle_equivalence_1000():
     rng = random.Random(20240501)
     for _ in range(1000):
         table, stmt, r = random_instance(rng)
-        snap = select_snapshot(table, stmt, r)
-        assert set(snap.row_indices) == brute_force_rows(table, stmt, r)
+        snap = select_snapshot(TableView(table), stmt, r)
+        assert set(snap) == brute_force_rows(table, stmt, r)
     report("snapshot matches exhaustive ranker on 1000 instances",
            time.perf_counter() - start, 5)
 
@@ -130,7 +131,7 @@ def test_evidence_oracle_equivalence_1000():
     rng = random.Random(424242)
     for _ in range(1000):
         table, stmt = random_case(rng, vocab_size=10, max_dim=6)
-        verdicts, trace = ev.find_evidence(stmt, table, Label.REFUTED)
+        verdicts, trace = ev.find_evidence(stmt, TableView(table), Label.REFUTED)
         assert verdicts == evidence_brute_force(stmt, table)
         for row in trace:
             for fired in row:

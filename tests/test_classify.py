@@ -5,67 +5,19 @@ import pytest
 
 from tabverify import classify
 from tabverify.corpus import Label
-from tabverify.snapshot import Snapshot, select_snapshot
+from tabverify.textnorm import TableView
 from conftest import make_statement, make_table
 
 
-def snap_all_body(table, stmt):
-    rows = tuple(table.body_row_indices)
-    return Snapshot(table.table_id, stmt.stmt_id, rows, len(rows))
-
-
-class TestLinearize:
-    def test_direct_construction(self):
-        table = make_table([["3"]], header_rows=0, table_id="t")
-        stmt = make_statement("s", "x is 3")
-        snap = snap_all_body(table, stmt)
-        tokens = classify.linearize(stmt, table, snap)
-        assert tokens == ("[CLS]", "x", "is", "3", "[SEP]", "3")
-
-    def test_empty_statement(self):
-        table = make_table([["a"]], header_rows=0)
-        stmt = make_statement("s", "?")  # normalizes to no tokens
-        tokens = classify.linearize(stmt, table, snap_all_body(table, stmt))
-        assert tokens == ("[CLS]", "[SEP]", "a")
-
-    def test_rows_in_ascending_order_with_cell_separators(self):
-        table = make_table([["h1", "h2"], ["a", "b"], ["c", "d"]], header_rows=1)
-        stmt = make_statement("s", "q")
-        tokens = classify.linearize(stmt, table, snap_all_body(table, stmt))
-        assert tokens == (
-            "[CLS]", "q", "[SEP]",
-            "h1", "[SEP-CELL]", "h2", "[SEP-CELL]",
-            "a", "[SEP-CELL]", "b", "[SEP-CELL]",
-            "c", "[SEP-CELL]", "d")
-
-    def test_surface_tokens_not_stemmed(self):
-        table = make_table([["cells"]], header_rows=0)
-        stmt = make_statement("s", "defined")
-        tokens = classify.linearize(stmt, table, snap_all_body(table, stmt))
-        assert "defined" in tokens and "cells" in tokens
-
-    def test_mismatched_snapshot_rejected(self):
-        table = make_table([["a"]], table_id="t1", header_rows=0)
-        stmt = make_statement("s", "x")
-        wrong = Snapshot("other", "s", (0,), 1)
-        with pytest.raises(classify.SnapshotMismatchError):
-            classify.linearize(stmt, table, wrong)
-
-    def test_exactly_one_cls_and_sep(self):
-        table = make_table([["sep cls"]], header_rows=0)
-        stmt = make_statement("s", "cls sep tokens")
-        tokens = classify.linearize(stmt, table, snap_all_body(table, stmt))
-        assert tokens[0] == "[CLS]"
-        assert tokens.count("[CLS]") == 1
-        assert tokens.count("[SEP]") == 1
+def body_rows(table):
+    return tuple(table.body_row_indices)
 
 
 class TestLexicalBaseline:
     def test_full_overlap_no_negation_is_entailed(self):
         table = make_table([["h"], ["alpha beta gamma"]])
         stmt = make_statement("s", "alpha beta gamma")
-        snap = snap_all_body(table, stmt)
-        sv = classify.lexical_baseline(stmt, table, snap)
+        sv = classify.lexical_baseline(stmt, TableView(table), body_rows(table))
         # o = 1 (all statement grams in the row), n = 0, u = 0
         assert sv.scores == (1.0, 0.0, 0.0)
         assert max(range(3), key=lambda i: sv.scores[i]) == 0
@@ -73,26 +25,26 @@ class TestLexicalBaseline:
     def test_disjoint_statement_is_unknown(self):
         table = make_table([["h"], ["alpha beta"]])
         stmt = make_statement("s", "unrelated words entirely")
-        sv = classify.lexical_baseline(stmt, table, snap_all_body(table, stmt))
+        sv = classify.lexical_baseline(stmt, TableView(table), body_rows(table))
         assert sv.scores == (0.0, 0.0, 1.0)
 
     def test_negation_flips_to_refuted(self):
         table = make_table([["h"], ["alpha beta"]])
         stmt = make_statement("s", "alpha beta not")
-        sv = classify.lexical_baseline(stmt, table, snap_all_body(table, stmt))
+        sv = classify.lexical_baseline(stmt, TableView(table), body_rows(table))
         assert sv.scores[1] > sv.scores[0]
 
     def test_empty_statement_scores(self):
         table = make_table([["h"], ["a"]])
         stmt = make_statement("s", "!!")
-        sv = classify.lexical_baseline(stmt, table, snap_all_body(table, stmt))
+        sv = classify.lexical_baseline(stmt, TableView(table), body_rows(table))
         assert sv.scores == (0.0, 0.0, 1.0)
 
     def test_scores_bounded(self):
         table = make_table([["h"], ["alpha beta"], ["gamma delta"]])
         for text in ["alpha", "alpha not beta", "gamma delta", "zz"]:
             stmt = make_statement("s", text)
-            sv = classify.lexical_baseline(stmt, table, snap_all_body(table, stmt))
+            sv = classify.lexical_baseline(stmt, TableView(table), body_rows(table))
             assert 0 <= sv.scores[0] <= 1
             assert 0 <= sv.scores[1] <= classify.NEGATION_FACTOR
             assert 0 <= sv.scores[2] <= 1

@@ -3,16 +3,19 @@ import io
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
 from tabverify import cli
-from tabverify.corpus import read_corpus
+from tabverify.corpus import parse_xml, read_corpus
 
 
 def run(argv):
@@ -80,9 +83,9 @@ class TestParse:
         assert run(["parse", str(src), str(out)]) == 1
         assert len(read_corpus(out)) == 2
 
-    def test_missing_input(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["parse", str(tmp_path / "nope"), str(tmp_path / "o")])
+    def test_missing_input(self, tmp_path, capsys):
+        assert run(["parse", str(tmp_path / "nope"), str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'nope'}: not a directory\n"
 
     def test_missing_corpus_file(self, tmp_path):
         assert run(["stats", str(tmp_path / "nope.jsonl")]) == 2
@@ -139,6 +142,12 @@ class TestEndToEnd:
         labels = {json.loads(line)["label"]
                   for line in open(f"{w}/preds_mv.jsonl")}
         assert labels <= {"entailed", "refuted", "unknown"}
+
+    def test_evidence_without_labels(self, pipeline_dir, tmp_path, capsys):
+        assert run(["evidence", f"{pipeline_dir}/corpus.jsonl", f"{tmp_path}/e.jsonl"]) == 2
+        assert capsys.readouterr().err == (
+            "error: evidence requires a predictions file or --use-gold-taskA\n")
+        assert not (tmp_path / "e.jsonl").exists()
 
     def test_evidence_with_gold_labels(self, fixtures_dir, tmp_path):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -231,7 +240,7 @@ class TestJsonlBoundary:
         ("evidence.jsonl", 2, lambda line: "", SCORE_EVIDENCE,
          "{w}/evidence.jsonl: missing evidence prediction for ('t1', 's2')"),
         ("evidence.jsonl", 1, lambda line: set_field("n_cols", 6)(set_field("n_rows", 2)(line)),
-         SCORE_EVIDENCE, "{w}/evidence.jsonl: evidence grid for ('t1', 's1') is 2x6, "
+         SCORE_EVIDENCE, "{w}/evidence.jsonl:1: evidence grid for ('t1', 's1') is 2x6, "
          "table is 4x3"),
         ("scores.jsonl", 1, lambda line: line, ["predict", "{w}/scores.jsonl", *PREDICT[1:]],
          "{w}/scores.jsonl: duplicate record for ('lexical', 't1', 's1'), "
@@ -353,6 +362,68 @@ class TestMutatedInputs:
             code = run(argv)
         assert code == 0 or (code == 2 and stderr.getvalue().startswith("error: ")), \
             (code, stderr.getvalue())
+
+
+class TestEvidenceShape:
+    @pytest.mark.parametrize("table_id, code, message", [
+        ("t1", 2, "error: {e}:1: evidence grid for ('t1', 's1') is 1000000x1, table is 4x3\n"),
+        ("not-in-corpus", 0, ""),
+    ], ids=["shape-mismatch", "table-outside-corpus"])
+    def test_huge_claim_is_not_decoded(self, pipeline_dir, tmp_path, capsys,
+                                       table_id, code, message):
+        """A record claiming a 1,000,000x1 grid is checked against its corpus
+        table, or skipped when the corpus lacks that table, before decoding."""
+        lines = (pipeline_dir / "evidence.jsonl").read_text().splitlines()
+        claim = json.dumps({**json.loads(lines[0]), "table_id": table_id,
+                            "n_rows": 1_000_000, "n_cols": 1, "relevant_rle": [1_000_000]})
+        lines = [claim] + lines[1:] if table_id == "t1" else lines + [claim]
+        path = tmp_path / "evidence.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run(["score", "--corpus", f"{pipeline_dir}/corpus.jsonl",
+                        "--evidence", str(path), "--out", f"{tmp_path}/report.json"]) == code
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == message.format(e=path)
+        assert peak < 1_000_000, peak
+
+
+XML_ATTRIBUTE = re.compile(r'(\w+)="[^"]*"')
+# Empty, negative, non-numeric, fractional, huge (past int()'s digit limit
+# too) and non-ASCII values; hypothesis adds arbitrary text.
+HOSTILE = ["", "-1", "-99999", "x", "1.5", "0x1f", " 2 ", "9" * 40, "9" * 5000,
+           "\u0663", "\u00e9", "\u2603"]
+
+
+class TestMutatedXml:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_zero_or_one(self, tmp_path_factory, data):
+        """One attribute of one fixture XML file set to a hostile value:
+        `parse` exits 0 or 1, never raises, and writes every other table."""
+        files = sorted((FIXTURES / "corpus").glob("*.xml"))
+        target = data.draw(st.sampled_from(files), "file")
+        text = target.read_text("utf-8")
+        attr = data.draw(st.sampled_from(list(XML_ATTRIBUTE.finditer(text))), "attribute")
+        value = data.draw(st.sampled_from(HOSTILE) | st.text(
+            st.characters(blacklist_categories=("Cs",)), max_size=8), "value")
+
+        src = tmp_path_factory.mktemp("xml")
+        for path in files:
+            shutil.copy(path, src / path.name)
+        (src / target.name).write_text(
+            f"{text[:attr.start()]}{attr[1]}={quoteattr(value)}{text[attr.end():]}", "utf-8")
+        out = src / "corpus.jsonl"
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["parse", str(src), str(out)])
+        assert code in (0, 1)
+        ids = [json.loads(line)["table_id"] for line in out.read_text("utf-8").splitlines()]
+        # the mutated table is written exactly when parse exits 0
+        assert len(ids) == len(files) - code
+        assert {parse_xml(p.read_bytes()).table_id for p in files if p != target} <= set(ids)
 
 
 ABBREVS = pathlib.Path(cli.__file__).parent / "data" / "abbreviations.tsv"

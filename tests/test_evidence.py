@@ -48,21 +48,21 @@ class TestFindEvidence:
     def test_entailed_short_circuit(self):
         table = make_table([["h1", "h2"], ["a", "b"]])
         stmt = make_statement("s", "whatever")
-        verdicts, trace = ev.find_evidence(stmt, table, Label.ENTAILED)
+        verdicts, trace = ev.find_evidence(stmt, tn.TableView(table), Label.ENTAILED)
         assert all(all(row) for row in verdicts)
         assert all(cell == (ev.ALL_ENTAILED,) for row in trace for cell in row)
 
     def test_unknown_rejected(self):
         table = make_table([["h"], ["a"]])
         with pytest.raises(ev.TaskBExclusionError, match="unknown"):
-            ev.find_evidence(make_statement("s", "x"), table, Label.UNKNOWN)
+            ev.find_evidence(make_statement("s", "x"), tn.TableView(table), Label.UNKNOWN)
 
     def test_rule1_header_match_marks_column_body(self):
         table = make_table([["name", "score", "year"],
                             ["ann", "4", "2001"],
                             ["bob", "7", "2002"]])
         stmt = make_statement("s", "the score went up")
-        verdicts, trace = ev.find_evidence(stmt, table, Label.REFUTED)
+        verdicts, trace = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
         assert verdicts == brute_force(stmt, table)
         assert relevant_cells(verdicts) == {(1, 1), (2, 1), (0, 1)}
         # (0,1) via rule 4 on the header cell itself; body cells via rule 1
@@ -71,7 +71,7 @@ class TestFindEvidence:
     def test_no_shared_words_all_false(self):
         table = make_table([["h1", "h2"], ["a", "b"]])
         stmt = make_statement("s", "zz qq")
-        verdicts, _ = ev.find_evidence(stmt, table, Label.REFUTED)
+        verdicts, _ = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
         assert not any(any(row) for row in verdicts)
 
     def test_rules_1_2_3_union(self):
@@ -81,7 +81,7 @@ class TestFindEvidence:
                             ["pears", "2"],
                             ["total", "6"]])
         stmt = make_statement("s", "the total is wrong")
-        verdicts, trace = ev.find_evidence(stmt, table, Label.REFUTED)
+        verdicts, trace = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
         assert verdicts == brute_force(stmt, table)
         # rule 1: body cells of column 1; rule 2: all of row 3; rule 3: (3,1)
         assert {(1, 1), (2, 1), (3, 1), (3, 0)} <= relevant_cells(verdicts)
@@ -91,19 +91,20 @@ class TestFindEvidence:
     def test_multi_token_cell_matches_any_token(self):
         table = make_table([["h"], ["mean value"]])
         stmt = make_statement("s", "the mean")
-        verdicts, _ = ev.find_evidence(stmt, table, Label.REFUTED)
+        verdicts, _ = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
         assert verdicts[1][0]
 
     def test_abbreviations_align(self):
         abbrevs = tn.make_abbrev_table([("no", "number")])
         table = make_table([["no"], ["5"]])
         stmt = make_statement("s", "the number")
-        verdicts, _ = ev.find_evidence(stmt, table, Label.REFUTED, abbrevs)
+        verdicts, _ = ev.find_evidence(stmt, tn.TableView(table, abbrevs), Label.REFUTED)
         assert verdicts[1][0]  # rule 1 via expanded header token
 
     def test_dimensions_match_grid(self):
         table = make_table([["a", "b", "c"], ["d", "e", "f"]])
-        verdicts, trace = ev.find_evidence(make_statement("s", "d"), table, Label.REFUTED)
+        verdicts, trace = ev.find_evidence(make_statement("s", "d"), tn.TableView(table),
+                                           Label.REFUTED)
         assert len(verdicts) == 2 and all(len(r) == 3 for r in verdicts)
         assert len(trace) == 2 and all(len(r) == 3 for r in trace)
 
@@ -126,7 +127,7 @@ class TestOracleEquivalence:
         for _ in range(400):
             table, stmt = random_case(rng)
             label = rng.choice([Label.ENTAILED, Label.REFUTED])
-            verdicts, _ = ev.find_evidence(stmt, table, label)
+            verdicts, _ = ev.find_evidence(stmt, tn.TableView(table), label)
             if label == Label.ENTAILED:
                 assert all(all(row) for row in verdicts)
             else:
@@ -136,7 +137,7 @@ class TestOracleEquivalence:
         rng = random.Random(88)
         for _ in range(400):
             table, stmt = random_case(rng)
-            _, trace = ev.find_evidence(stmt, table, Label.REFUTED)
+            _, trace = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
             for row in trace:
                 for fired in row:
                     if "3" in fired:
@@ -147,15 +148,15 @@ class TestOracleEquivalence:
         for _ in range(200):
             table, stmt = random_case(rng)
             extra = make_statement("s", stmt.text + " w0 w1")
-            before, _ = ev.find_evidence(stmt, table, Label.REFUTED)
-            after, _ = ev.find_evidence(extra, table, Label.REFUTED)
+            before, _ = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
+            after, _ = ev.find_evidence(extra, tn.TableView(table), Label.REFUTED)
             assert relevant_cells(before) <= relevant_cells(after)
 
     def test_trace_nonempty_iff_relevant(self):
         rng = random.Random(55)
         for _ in range(100):
             table, stmt = random_case(rng)
-            verdicts, trace = ev.find_evidence(stmt, table, Label.REFUTED)
+            verdicts, trace = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
             for r, row in enumerate(verdicts):
                 for c, verdict in enumerate(row):
                     assert verdict == bool(trace[r][c])

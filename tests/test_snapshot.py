@@ -69,9 +69,9 @@ class TestSelectSnapshot:
     def test_small_table_keeps_everything(self):
         table = table_with_rows(3)
         st_ = make_statement("s", "anything at all")
-        snap = select_snapshot(table, st_, 5)
-        assert snap.row_indices == (1, 2, 3)
-        assert snap.k == 3
+        snap = select_snapshot(tn.TableView(table), st_, 5)
+        assert snap == (1, 2, 3)
+        assert len(snap) == 3
 
     def test_top_k_by_overlap(self):
         # body rows 1..5; statement shares grams only with rows 1 and 4
@@ -83,32 +83,33 @@ class TestSelectSnapshot:
                 ["mm", "nn"]]
         table = make_table(rows)
         st_ = make_statement("s", "the zebra quokka pair")
-        snap = select_snapshot(table, st_, 2)
+        snap = select_snapshot(tn.TableView(table), st_, 2)
         # exhaustive check over all 5 rows agrees
-        assert set(snap.row_indices) == brute_force_rows(table, st_, 2) == {1, 4}
+        assert set(snap) == brute_force_rows(table, st_, 2) == {1, 4}
 
     def test_tie_break_lowest_index(self):
         rows = [["h0"], ["same"], ["same"], ["same"]]
         table = make_table(rows)
-        snap = select_snapshot(table, make_statement("s", "same"), 2)
-        assert snap.row_indices == (1, 2)
+        snap = select_snapshot(tn.TableView(table), make_statement("s", "same"), 2)
+        assert snap == (1, 2)
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):
-            select_snapshot(table_with_rows(2), make_statement("s", "x"), 0)
+            select_snapshot(tn.TableView(table_with_rows(2)), make_statement("s", "x"), 0)
 
     def test_column_permutation_invariant(self):
         rows = [["h0", "h1"], ["aa", "bb"], ["cc", "dd"], ["ee", "ff"]]
         swapped = [list(reversed(r)) for r in rows]
         st_ = make_statement("s", "aa bb cc")
-        a = select_snapshot(make_table(rows), st_, 2, n_values=(1,))
-        b = select_snapshot(make_table(swapped), st_, 2, n_values=(1,))
-        assert a.row_indices == b.row_indices
+        a = select_snapshot(tn.TableView(make_table(rows)), st_, 2, n_values=(1,))
+        b = select_snapshot(tn.TableView(make_table(swapped)), st_, 2, n_values=(1,))
+        assert a == b
 
     def test_deterministic(self):
         table = table_with_rows(8, rng=random.Random(3))
         st_ = make_statement("s", "aa bb")
-        assert select_snapshot(table, st_, 3) == select_snapshot(table, st_, 3)
+        assert (select_snapshot(tn.TableView(table), st_, 3)
+                == select_snapshot(tn.TableView(table), st_, 3))
 
 
 def random_instance(rng):
@@ -127,23 +128,23 @@ class TestOracleEquivalence:
         rng = random.Random(1234)
         for _ in range(300):
             table, stmt, r = random_instance(rng)
-            snap = select_snapshot(table, stmt, r)
-            assert set(snap.row_indices) == brute_force_rows(table, stmt, r)
+            snap = select_snapshot(tn.TableView(table), stmt, r)
+            assert set(snap) == brute_force_rows(table, stmt, r)
             # invariants
-            assert snap.k <= r
-            assert snap.k == len(snap.row_indices) <= len(list(table.body_row_indices))
-            assert list(snap.row_indices) == sorted(set(snap.row_indices))
+            assert len(snap) <= r
+            assert len(snap) <= len(list(table.body_row_indices))
+            assert list(snap) == sorted(set(snap))
 
     def test_selected_rates_dominate_unselected(self):
         rng = random.Random(99)
         for _ in range(100):
             table, stmt, r = random_instance(rng)
-            snap = select_snapshot(table, stmt, r)
+            snap = select_snapshot(tn.TableView(table), stmt, r)
             grams = tn.ngram_set(tn.normalize(stmt.text), (1, 2))
             rates = {idx: tn.overlap_rate(
                 grams, tn.ngram_set(tn.normalize(row_text(table, idx)), (1, 2)))
                 for idx in table.body_row_indices}
-            chosen = set(snap.row_indices)
+            chosen = set(snap)
             others = set(rates) - chosen
             if chosen and others:
                 assert min(rates[i] for i in chosen) >= max(rates[i] for i in others) - 1e-12

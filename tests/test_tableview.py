@@ -1,13 +1,12 @@
 """A TableView shared by every statement of a table gives the results that
-fresh per-statement calls on the bare table give."""
+a fresh view per call gives."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from tabverify import augment, classify, evidence, snapshot
 from tabverify import textnorm as tn
 from tabverify.corpus import Label
-from conftest import documents, make_statement, make_table
+from conftest import documents, make_statement
 
 # Keys drawn from the strategies' alphabet, so expansions actually fire.
 ABBREVS = tn.make_abbrev_table([("ab", "cd ef"), ("c", "bag"), ("ji", "jig")])
@@ -24,12 +23,14 @@ def test_shared_view_matches_fresh_calls(doc, abbrevs, r_rows, label):
     for stmt in list(doc.statements) + echoes:
         # both n-gram settings go through the same view, interleaved
         for n_values in [(1,), (1, 2)]:
-            snap = snapshot.select_snapshot(view, stmt, r_rows, n_values)
-            assert snap == snapshot.select_snapshot(doc, stmt, r_rows, n_values, abbrevs)
-            assert (classify.lexical_baseline(stmt, view, snap, n_values=n_values)
-                    == classify.lexical_baseline(stmt, doc, snap, abbrevs, n_values))
+            rows = snapshot.select_snapshot(view, stmt, r_rows, n_values)
+            assert rows == snapshot.select_snapshot(tn.TableView(doc, abbrevs), stmt,
+                                                    r_rows, n_values)
+            assert (classify.lexical_baseline(stmt, view, rows, n_values)
+                    == classify.lexical_baseline(stmt, tn.TableView(doc, abbrevs), rows,
+                                                 n_values))
         assert (evidence.find_evidence(stmt, view, label)
-                == evidence.find_evidence(stmt, doc, label, abbrevs))
+                == evidence.find_evidence(stmt, tn.TableView(doc, abbrevs), label))
 
 
 @given(documents(), abbrev_tables)
@@ -40,10 +41,3 @@ def test_table_unigram_bag_is_union_of_normalized_tokens(doc, abbrevs):
             tokens.extend(tn.normalize(cell, abbrevs))
     tokens.extend(tn.normalize(doc.caption, abbrevs))
     assert augment._table_unigram_bag(doc, abbrevs) == set(tokens)
-
-
-def test_view_keeps_its_own_abbrevs():
-    view = tn.TableView(make_table([["h"], ["a"]]), ABBREVS)
-    assert tn.TableView.of(view) is view
-    with pytest.raises(ValueError, match="own abbreviations"):
-        tn.TableView.of(view, ABBREVS)
