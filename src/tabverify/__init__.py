@@ -4,7 +4,6 @@ augmentation, score-level ensembling, rule-based evidence selection, and
 the matching evaluation protocols."""
 
 from .corpus import (  # noqa: F401
-    CorpusStats,
     Label,
     Statement,
     TableDocument,

@@ -51,7 +51,15 @@ def _load_abbrevs(path):
 
 
 def _parse_ngrams(spec):
-    return tuple(sorted({int(n) for n in spec.split(",") if n.strip()}))
+    """The ``--ngrams`` type: comma-separated n-gram sizes, each >= 1."""
+    try:
+        n_values = tuple(sorted({int(n) for n in spec.split(",") if n.strip()}))
+    except ValueError:
+        n_values = ()
+    if not n_values or n_values[0] < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {spec!r}")
+    return n_values
 
 
 STATEMENT_KEY = ("table_id", "stmt_id")
@@ -85,17 +93,17 @@ def cmd_stats(args):
     docs = corpus.read_corpus(args.corpus)
     stats = corpus.corpus_stats(docs)
     lines = [
-        f"{'tables':<22}{stats.table_count}",
-        f"{'entailed':<22}{stats.entailed}",
-        f"{'refuted':<22}{stats.refuted}",
-        f"{'unknown':<22}{stats.unknown}",
-        f"{'stmt tokens max/min/mean':<28}{stats.stmt_tokens_max}/{stats.stmt_tokens_min}/{stats.stmt_tokens_mean:.2f}",
-        f"{'row tokens max/min/mean':<28}{stats.row_tokens_max}/{stats.row_tokens_min}/{stats.row_tokens_mean:.2f}",
-        f"{'row count max/min/mean':<28}{stats.row_count_max}/{stats.row_count_min}/{stats.row_count_mean:.2f}",
+        f"{'tables':<22}{stats['table_count']}",
+        f"{'entailed':<22}{stats['entailed']}",
+        f"{'refuted':<22}{stats['refuted']}",
+        f"{'unknown':<22}{stats['unknown']}",
+        f"{'stmt tokens max/min/mean':<28}{stats['stmt_tokens_max']}/{stats['stmt_tokens_min']}/{stats['stmt_tokens_mean']:.2f}",
+        f"{'row tokens max/min/mean':<28}{stats['row_tokens_max']}/{stats['row_tokens_min']}/{stats['row_tokens_mean']:.2f}",
+        f"{'row count max/min/mean':<28}{stats['row_count_max']}/{stats['row_count_min']}/{stats['row_count_mean']:.2f}",
     ]
     print("\n".join(lines))
     if args.out:
-        corpus.write_json(stats.to_json(), args.out)
+        corpus.write_json(stats, args.out)
         _write_manifest(args)
     return 0
 
@@ -119,18 +127,17 @@ def cmd_augment(args):
 
 def cmd_snapshot(args):
     docs = corpus.read_corpus(args.corpus)
-    r_rows = max(1, args.rows_r or snapshot.median_row_count(docs))
-    n_values = _parse_ngrams(args.ngrams)
+    r_rows = args.rows_r if args.rows_r is not None else max(1, snapshot.median_row_count(docs))
     abbrevs = _load_abbrevs(args.abbrev_file)
     records = []
     for doc in docs:
         view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
-            rows = snapshot.select_snapshot(view, st, r_rows, n_values)
+            rows = snapshot.select_snapshot(view, st, r_rows, args.ngrams)
             records.append({"table_id": doc.table_id, "stmt_id": st.stmt_id,
                             "rows": list(rows), "k": len(rows)})
     corpus.write_jsonl(records, args.out)
-    _write_manifest(args, rows_r=r_rows, ngrams=list(n_values))
+    _write_manifest(args, rows_r=r_rows)
     return 0
 
 
@@ -147,7 +154,6 @@ def _read_snapshots(path):
 def cmd_baseline(args):
     docs = corpus.read_corpus(args.corpus)
     snaps = _read_snapshots(args.snapshots)
-    n_values = _parse_ngrams(args.ngrams)
     abbrevs = _load_abbrevs(args.abbrev_file)
     score_vectors = []
     for doc in docs:
@@ -163,9 +169,9 @@ def cmd_baseline(args):
                                  f"for table {doc.table_id!r} statement {st.stmt_id!r} "
                                  "are not body rows")
             score_vectors.append(classify.lexical_baseline(
-                st, view, rows, n_values, args.model_name))
+                st, view, rows, args.ngrams, args.model_name))
     classify.write_scores(score_vectors, args.out)
-    _write_manifest(args, ngrams=list(n_values))
+    _write_manifest(args)
     return 0
 
 
@@ -247,14 +253,15 @@ def cmd_evidence(args):
             rec = {"table_id": doc.table_id, "stmt_id": st.stmt_id,
                    "n_rows": doc.n_rows, "n_cols": doc.n_cols}
             if label is None or label == corpus.Label.UNKNOWN:
-                # Unknown statements are outside the rule engine; emit an
-                # all-irrelevant map so downstream scoring has full coverage.
-                verdicts = ((False,) * doc.n_cols,) * doc.n_rows
+                # Unknown statements are outside the rule engine; emit no
+                # relevant cells so downstream scoring has full coverage.
+                fired = {}
             else:
-                verdicts, trace = evidence.find_evidence(st, view, label)
+                fired = evidence.find_evidence(st, view, label)
                 if args.trace:
-                    rec["trace"] = [[list(cell) for cell in row] for row in trace]
-            rec["relevant_rle"] = evidence.rle_encode(verdicts)
+                    rec["trace"] = [[list(fired.get((r, c), ())) for c in range(doc.n_cols)]
+                                    for r in range(doc.n_rows)]
+            rec["relevant_rle"] = evidence.rle_encode(fired, doc.n_rows, doc.n_cols)
             records.append(rec)
     corpus.write_jsonl(records, args.out)
     _write_manifest(args)
@@ -262,9 +269,9 @@ def cmd_evidence(args):
 
 
 def _read_evidence(path, docs):
-    """Each record's verdict grid, decoded only once its claimed shape is the
-    shape of its corpus table; records of tables outside the corpus map to
-    None, undecoded."""
+    """Each record's set of relevant cells, decoded only once its claimed
+    shape is the shape of its corpus table; records of tables outside the
+    corpus map to None, undecoded."""
     shapes = {doc.table_id: (doc.n_rows, doc.n_cols) for doc in docs}
 
     def decode(obj):
@@ -296,14 +303,14 @@ def cmd_score(args):
     if args.preds:
         task_a = _score(args.preds, scoring.score_task_a,
                         _read_predictions(args.preds), docs, average)
-        report["task_a"] = task_a.to_json()
-        print(f"task A 2-way F1: {task_a.overall_2way:.4f}")
-        print(f"task A 3-way F1: {task_a.overall_3way:.4f}")
+        report["task_a"] = task_a
+        print(f"task A 2-way F1: {task_a['overall_2way']:.4f}")
+        print(f"task A 3-way F1: {task_a['overall_3way']:.4f}")
     if args.evidence:
         task_b = _score(args.evidence, scoring.score_task_b,
                         _read_evidence(args.evidence, docs), docs)
-        report["task_b"] = task_b.to_json()
-        print(f"task B cell F1: {task_b.overall:.4f}")
+        report["task_b"] = task_b
+        print(f"task B cell F1: {task_b['overall']:.4f}")
     corpus.write_json(report, args.out)
     _write_manifest(args, average=average)
     return 0
@@ -339,7 +346,7 @@ def build_parser():
     p.add_argument("corpus")
     p.add_argument("out")
     p.add_argument("--rows-R", dest="rows_r", type=int, default=None)
-    p.add_argument("--ngrams", default="1,2")
+    p.add_argument("--ngrams", type=_parse_ngrams, default="1,2")
     p.add_argument("--abbrev-file", default=None)
     p.set_defaults(fn=cmd_snapshot)
 
@@ -347,7 +354,7 @@ def build_parser():
     p.add_argument("corpus")
     p.add_argument("snapshots")
     p.add_argument("out")
-    p.add_argument("--ngrams", default="1,2")
+    p.add_argument("--ngrams", type=_parse_ngrams, default="1,2")
     p.add_argument("--abbrev-file", default=None)
     p.add_argument("--model-name", default="lexical")
     p.set_defaults(fn=cmd_baseline)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 import reprlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -143,6 +144,8 @@ def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, sta
 def _int_attr(elem, name, default=None):
     value = elem.get(name, default)
     try:
+        if not re.fullmatch(r"-?[0-9]+", value):  # int() also takes "1_0", " 2 ", "\u0663"
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
         raise SchemaError(f"<{elem.tag}> {name}={value!r} is not an integer") from None
@@ -344,33 +347,14 @@ def _minmaxmean(values):
     return max(values), min(values), sum(values) / len(values)
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    table_count: int
-    entailed: int
-    refuted: int
-    unknown: int
-    stmt_tokens_max: int
-    stmt_tokens_min: int
-    stmt_tokens_mean: float
-    row_tokens_max: int
-    row_tokens_min: int
-    row_tokens_mean: float
-    row_count_max: int
-    row_count_min: int
-    row_count_mean: float
-
-    def to_json(self):
-        return dict(self.__dict__)
-
-
 def corpus_stats(corpus):
-    """Descriptive statistics over a corpus.
+    """Descriptive statistics over a corpus: the dict that ``stats.json``
+    holds.
 
     Token counts use plain whitespace splitting: statements on their text,
     tables on the per-row concatenation of cell texts.
     """
-    labels = {Label.ENTAILED: 0, Label.REFUTED: 0, Label.UNKNOWN: 0}
+    labels = {label.value: 0 for label in Label}
     stmt_tokens = []
     row_tokens = []
     row_counts = []
@@ -381,16 +365,9 @@ def corpus_stats(corpus):
         for st in doc.statements:
             stmt_tokens.append(len(st.text.split()))
             if st.gold_label is not None:
-                labels[st.gold_label] += 1
-    s_max, s_min, s_mean = _minmaxmean(stmt_tokens)
-    r_max, r_min, r_mean = _minmaxmean(row_tokens)
-    c_max, c_min, c_mean = _minmaxmean(row_counts)
-    return CorpusStats(
-        table_count=len(corpus),
-        entailed=labels[Label.ENTAILED],
-        refuted=labels[Label.REFUTED],
-        unknown=labels[Label.UNKNOWN],
-        stmt_tokens_max=s_max, stmt_tokens_min=s_min, stmt_tokens_mean=s_mean,
-        row_tokens_max=r_max, row_tokens_min=r_min, row_tokens_mean=r_mean,
-        row_count_max=c_max, row_count_min=c_min, row_count_mean=c_mean,
-    )
+                labels[st.gold_label.value] += 1
+    stats = {"table_count": len(corpus), **labels}
+    for name, values in [("stmt_tokens", stmt_tokens), ("row_tokens", row_tokens),
+                         ("row_count", row_counts)]:
+        stats[f"{name}_max"], stats[f"{name}_min"], stats[f"{name}_mean"] = _minmaxmean(values)
+    return stats

@@ -24,7 +24,7 @@ class EnsembleError(ValueError):
     pass
 
 
-class TrainingError(RuntimeError):
+class TrainingError(EnsembleError):
     def __init__(self, message, epoch):
         super().__init__(f"{message} at epoch {epoch}")
         self.epoch = epoch
@@ -38,12 +38,12 @@ class TrainConfig:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise EnsembleError("learning_rate must be > 0")
+        if not (0 < self.learning_rate < np.inf):
+            raise EnsembleError("learning_rate must be finite and > 0")
         if self.epochs < 1:
             raise EnsembleError("epochs must be >= 1")
-        if self.l2 < 0:
-            raise EnsembleError("l2 must be >= 0")
+        if not (0 <= self.l2 < np.inf):
+            raise EnsembleError("l2 must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,8 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
     bias = np.zeros(N_CLASSES)
     trace = []
     for epoch in range(config.epochs):
-        loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, y, config.l2)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, y, config.l2)
         if not np.isfinite(loss):
             raise TrainingError("non-finite loss", epoch)
         trace.append(loss)

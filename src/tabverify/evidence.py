@@ -1,5 +1,8 @@
 """Evidence-cell rule engine: given a statement, a table's ``TableView`` and
-the statement's verdict, mark each cell relevant or irrelevant.
+the statement's verdict, find the relevant cells.  A prediction is a dict
+``{(row, col): rule ids}`` holding the relevant cells only; ``rle_encode``
+and ``rle_decode`` convert a cell set to and from the run-length form that
+evidence files hold.
 
 An Entailed verdict short-circuits to all-relevant.  Otherwise four rules
 fire off the statement's normalized word bag, matched by exact token
@@ -18,6 +21,9 @@ Task B and rejected.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from . import textnorm
 from .corpus import Label
 
@@ -30,75 +36,70 @@ class TaskBExclusionError(ValueError):
 
 def find_evidence(statement, view, taska_label):
     """Apply the rule engine to the table of ``view`` (a
-    ``textnorm.TableView``); returns ``(verdicts, trace)``, two grid-shaped
-    tuples of rows: a bool per cell, and per cell the sorted ids of the rules
-    that fired there.
+    ``textnorm.TableView``); returns a dict mapping each relevant
+    ``(row, col)`` to the sorted tuple of ids of the rules that fired there.
     """
     if taska_label == Label.UNKNOWN:
         raise TaskBExclusionError("Task B excludes unknown statements")
     n_rows, n_cols = view.n_rows, view.n_cols
     if taska_label == Label.ENTAILED:
-        verdicts = tuple(tuple(True for _ in range(n_cols)) for _ in range(n_rows))
-        trace = tuple(tuple((ALL_ENTAILED,) for _ in range(n_cols)) for _ in range(n_rows))
-        return verdicts, trace
+        return {(r, c): (ALL_ENTAILED,) for r in range(n_rows) for c in range(n_cols)}
 
     bag = set(textnorm.normalize(statement.text, view.abbrevs))
     header_rows = min(view.header_rows, n_rows)
     body = range(header_rows, n_rows)
-    fired = [[set() for _ in range(n_cols)] for _ in range(n_rows)]
-
+    by_rule = {"1": set(), "2": set(), "3": set(), "4": set()}
     for word in bag:
         # Only the cells holding the word can fire; a word no cell holds
         # fires nothing.
         cells = view.cell_index.get(word, ())
         header_cols = {c for r, c in cells if r < header_rows}
         label_rows = {r for r, c in cells if c == 0 and r >= header_rows}
-        for c in header_cols:
-            for r in body:
-                fired[r][c].add("1")
-        for r in label_rows:
-            for c in range(n_cols):
-                fired[r][c].add("2")
-        for r in label_rows:
-            for c in header_cols:
-                fired[r][c].add("3")
-        for r, c in cells:
-            fired[r][c].add("4")
+        by_rule["1"].update((r, c) for c in header_cols for r in body)
+        by_rule["2"].update((r, c) for r in label_rows for c in range(n_cols))
+        by_rule["3"].update((r, c) for r in label_rows for c in header_cols)
+        by_rule["4"].update(cells)
 
-    verdicts = tuple(tuple(bool(fired[r][c]) for c in range(n_cols))
-                     for r in range(n_rows))
-    trace = tuple(tuple(tuple(sorted(fired[r][c])) for c in range(n_cols))
-                  for r in range(n_rows))
-    return verdicts, trace
+    fired = {}
+    for rule, cells in by_rule.items():  # in id order, so each tuple is sorted
+        for cell in cells:
+            fired[cell] = fired.get(cell, ()) + (rule,)
+    return fired
 
 
-def rle_encode(verdicts):
-    """Row-major run-length encoding; runs alternate starting with False."""
-    flat = [v for row in verdicts for v in row]
+def rle_encode(cells, n_rows, n_cols):
+    """Row-major run-length encoding of the relevant ``cells`` (a set of
+    ``(row, col)``, or a dict keyed by them) of an ``n_rows`` x ``n_cols``
+    grid; runs alternate starting with an irrelevant run."""
     runs = []
-    current = False
-    count = 0
-    for v in flat:
-        if v == current:
-            count += 1
+    end = 0  # flat index just past the last run
+    for i in sorted(r * n_cols + c for r, c in cells):
+        if runs and i == end:
+            runs[-1] += 1
         else:
-            runs.append(count)
-            current = v
-            count = 1
-    runs.append(count)
+            runs += [i - end, 1]
+        end = i + 1
+    if not runs or end < n_rows * n_cols:
+        runs.append(n_rows * n_cols - end)
     return runs
 
 
 def rle_decode(runs, n_rows, n_cols):
+    """The frozenset of relevant ``(row, col)`` cells that ``runs`` encode."""
     # Check the runs before expanding them, so a huge run allocates nothing.
     for count in runs:
         if count < 0:
             raise ValueError(f"negative run length {count}")
     if sum(runs) != n_rows * n_cols:
         raise ValueError(f"run lengths sum to {sum(runs)}, expected {n_rows * n_cols}")
-    flat = []
-    current = False
-    for count in runs:
-        flat.extend([current] * count)
-        current = not current
-    return tuple(tuple(flat[r * n_cols:(r + 1) * n_cols]) for r in range(n_rows))
+    grid = _grid_cells(n_rows, n_cols)
+    bounds = list(itertools.accumulate(runs, initial=0))
+    # the relevant runs are the odd ones: run k spans bounds[k]..bounds[k + 1]
+    return frozenset().union(*(grid[a:b] for a, b in zip(bounds[1::2], bounds[2::2])))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_cells(n_rows, n_cols):
+    """Every (row, col) of an n_rows x n_cols grid, row-major: built once per
+    shape, so the decoded cell sets of same-shaped tables share the tuples."""
+    return tuple((r, c) for r in range(n_rows) for c in range(n_cols))

@@ -1,5 +1,7 @@
 """Shared-task scoring: 3-way F1, 2-way F1 with the unknown penalty, and
-cell-level Task B F1 against multi-version ground truth.
+cell-level Task B F1 against multi-version ground truth.  Task B
+predictions are sets of relevant (row, col) cells.  ``score_task_a`` and
+``score_task_b`` return the plain dicts that ``report.json`` holds.
 
 All metrics average per table first, then across tables.  Zero-denominator
 convention: precision/recall/F1 are 0 when their denominator is 0 and the
@@ -7,8 +9,6 @@ other side is non-empty, 1 when both prediction and gold are empty.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .corpus import Label
 from .classify import CLASS_ORDER
@@ -25,41 +25,6 @@ def _prf(tp, fp, fn):
     r = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f1
-
-
-@dataclass
-class TaskAReport:
-    per_table_3way: dict = field(default_factory=dict)
-    per_table_2way: dict = field(default_factory=dict)
-    overall_3way: float = 0.0
-    overall_2way: float = 0.0
-    confusion: dict = field(default_factory=dict)  # (gold, pred) -> count
-
-    def to_json(self):
-        return {
-            "overall_3way": self.overall_3way,
-            "overall_2way": self.overall_2way,
-            "per_table_3way": dict(sorted(self.per_table_3way.items())),
-            "per_table_2way": dict(sorted(self.per_table_2way.items())),
-            "confusion": {f"{g.value}->{p.value}": n
-                          for (g, p), n in sorted(self.confusion.items(),
-                                                  key=lambda kv: (kv[0][0].value, kv[0][1].value))},
-        }
-
-
-@dataclass
-class TaskBReport:
-    per_table: dict = field(default_factory=dict)
-    per_statement: dict = field(default_factory=dict)  # (tid, sid) -> {p, r, f1}
-    overall: float = 0.0
-
-    def to_json(self):
-        return {
-            "overall": self.overall,
-            "per_table": dict(sorted(self.per_table.items())),
-            "per_statement": {f"{tid}/{sid}": v for (tid, sid), v
-                              in sorted(self.per_statement.items())},
-        }
 
 
 def _gold_pairs(doc):
@@ -141,11 +106,17 @@ def score_2way(preds, gold_corpus, average="macro"):
 
 
 def score_task_a(preds, gold_corpus, average="macro"):
-    report = TaskAReport()
-    report.per_table_3way, report.overall_3way, report.confusion = \
-        score_3way(preds, gold_corpus, average)
-    report.per_table_2way, report.overall_2way = score_2way(preds, gold_corpus, average)
-    return report
+    """The ``task_a`` section of ``report.json``: per-table and overall
+    3-way and 2-way F1, and confusion counts keyed ``"gold->pred"``."""
+    per_table_3way, overall_3way, confusion = score_3way(preds, gold_corpus, average)
+    per_table_2way, overall_2way = score_2way(preds, gold_corpus, average)
+    return {
+        "overall_3way": overall_3way,
+        "overall_2way": overall_2way,
+        "per_table_3way": per_table_3way,
+        "per_table_2way": per_table_2way,
+        "confusion": {f"{g.value}->{p.value}": n for (g, p), n in confusion.items()},
+    }
 
 
 def _cell_prf(pred_set, gold_set):
@@ -154,13 +125,15 @@ def _cell_prf(pred_set, gold_set):
 
 
 def score_task_b(pred_maps, gold_corpus):
-    """Per-cell F1 against multi-version gold evidence.
+    """Per-cell F1 against multi-version gold evidence; returns the
+    ``task_b`` section of ``report.json``.
 
-    ``pred_maps`` maps (table_id, stmt_id) to either a set of (row, col)
-    pairs or a grid-shaped verdict matrix.  Statement score is the best F1
-    over gold versions; averaged per table, then across tables.
+    ``pred_maps`` maps (table_id, stmt_id) to the set of relevant (row, col)
+    cells.  Statement score is the best F1 over gold versions, reported
+    under ``"table_id/stmt_id"``; averaged per table, then across tables.
     """
-    report = TaskBReport()
+    per_table = {}
+    per_statement = {}
     for doc in gold_corpus:
         stmt_scores = []
         for st in doc.statements:
@@ -169,24 +142,14 @@ def score_task_b(pred_maps, gold_corpus):
             key = (doc.table_id, st.stmt_id)
             if key not in pred_maps:
                 raise ScoringError(f"missing evidence prediction for {key}")
-            pred = pred_maps[key]
-            if not isinstance(pred, (set, frozenset)):
-                rows = len(pred)
-                cols = len(pred[0]) if rows else 0
-                if rows != doc.n_rows or cols != doc.n_cols:
-                    raise ScoringError(
-                        f"evidence grid for {key} is {rows}x{cols}, "
-                        f"table is {doc.n_rows}x{doc.n_cols}")
-                pred = {(r, c) for r in range(rows) for c in range(cols) if pred[r][c]}
             best = max(
-                (_cell_prf(pred, cells) for cells in st.gold_evidence),
+                (_cell_prf(pred_maps[key], cells) for cells in st.gold_evidence),
                 key=lambda prf: prf[2],
             )
-            report.per_statement[key] = {
+            per_statement[f"{doc.table_id}/{st.stmt_id}"] = {
                 "precision": best[0], "recall": best[1], "f1": best[2]}
             stmt_scores.append(best[2])
         if stmt_scores:
-            report.per_table[doc.table_id] = sum(stmt_scores) / len(stmt_scores)
-    report.overall = (sum(report.per_table.values()) / len(report.per_table)
-                      if report.per_table else 0.0)
-    return report
+            per_table[doc.table_id] = sum(stmt_scores) / len(stmt_scores)
+    overall = sum(per_table.values()) / len(per_table) if per_table else 0.0
+    return {"overall": overall, "per_table": per_table, "per_statement": per_statement}

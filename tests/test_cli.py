@@ -420,7 +420,8 @@ class TestMutatedXml:
         with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
             code = run(["parse", str(src), str(out)])
         assert code in (0, 1)
-        ids = [json.loads(line)["table_id"] for line in out.read_text("utf-8").splitlines()]
+        # bytes.splitlines, unlike str.splitlines, does not split at U+0085 or U+2028
+        ids = [json.loads(line)["table_id"] for line in out.read_bytes().splitlines()]
         # the mutated table is written exactly when parse exits 0
         assert len(ids) == len(files) - code
         assert {parse_xml(p.read_bytes()).table_id for p in files if p != target} <= set(ids)
@@ -467,21 +468,53 @@ class TestManifest:
 
 
 class TestFixtureScript:
-    def test_reproduces_frozen_reports(self, fixtures_dir):
+    def test_reproduces_frozen_reports(self, fixtures_dir, tmp_path):
         """scripts/run_fixture_pipeline.py, as the README runs it, writes the
-        frozen reports."""
+        frozen stats, predictions, evidence and report into a fresh
+        directory under TMPDIR."""
         root = fixtures_dir.parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0",
+                   TMPDIR=str(tmp_path))
         proc = subprocess.run(
             [sys.executable, str(root / "scripts" / "run_fixture_pipeline.py")],
             env=env, capture_output=True, text=True, timeout=120)
-        reports = [line.removeprefix("report: ") for line in proc.stdout.splitlines()
-                   if line.startswith("report: ")]
-        assert proc.returncode == 0 and len(reports) == 1, proc.stdout + proc.stderr
-        workdir = pathlib.Path(reports[0]).parent
-        try:
-            for name in ["report.json", "preds.jsonl"]:
-                assert ((workdir / name).read_bytes()
-                        == (fixtures_dir / "expected" / name).read_bytes()), name
-        finally:
-            shutil.rmtree(workdir)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        [workdir] = tmp_path.iterdir()
+        assert proc.stdout.splitlines()[-1] == f"report: {workdir / 'report.json'}"
+        for name in ["stats.json", "preds.jsonl", "evidence.jsonl", "report.json"]:
+            assert ((workdir / name).read_bytes()
+                    == (fixtures_dir / "expected" / name).read_bytes()), name
+
+
+class TestBadOptions:
+    @pytest.mark.parametrize("option, message", [
+        (["--lr", "nan"], "learning_rate must be finite and > 0"),
+        (["--lr", "inf"], "learning_rate must be finite and > 0"),
+        (["--l2", "nan"], "l2 must be finite and >= 0"),
+        (["--lr", "1e308"], "non-finite loss at epoch 1"),
+    ], ids=["lr-nan", "lr-inf", "l2-nan", "lr-diverges"])
+    def test_ensemble_train(self, pipeline_dir, tmp_path, capsys, option, message):
+        assert run(["ensemble-train", f"{pipeline_dir}/scores.jsonl",
+                    "--corpus", f"{pipeline_dir}/corpus.jsonl",
+                    "--out", f"{tmp_path}/layer.json", *option]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rows", ["0", "-5"])
+    def test_snapshot_rows_r_not_replaced(self, pipeline_dir, tmp_path, capsys, rows):
+        assert run(["snapshot", f"{pipeline_dir}/corpus.jsonl", f"{tmp_path}/snapshots.jsonl",
+                    f"--rows-R={rows}"]) == 2
+        assert capsys.readouterr().err == f"error: r_rows must be >= 1, got {rows}\n"
+
+    @pytest.mark.parametrize("spec", [",", "x", "0", "1,-2"])
+    @pytest.mark.parametrize("argv", [
+        ["snapshot", "{w}/corpus.jsonl", "{o}/snapshots.jsonl"],
+        ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{o}/scores.jsonl"],
+    ], ids=["snapshot", "baseline"])
+    def test_ngrams_without_sizes_rejected(self, pipeline_dir, tmp_path, capsys, argv, spec):
+        argv = [arg.format(w=pipeline_dir, o=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, f"--ngrams={spec}"])
+        assert exc.value.code == 2
+        assert (f"argument --ngrams: expected comma-separated integers >= 1, got {spec!r}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())

@@ -85,6 +85,19 @@ class TestParseXml:
     def test_deterministic(self):
         assert cp.parse_xml(SIMPLE_XML) == cp.parse_xml(SIMPLE_XML)
 
+    @pytest.mark.parametrize("value", ["1_0", " 2 ", "\u0663"])
+    @pytest.mark.parametrize("attribute", ["header_rows", "row"])
+    def test_only_ascii_integer_attributes(self, attribute, value):
+        """int() would read these as 10, 2 and 3."""
+        xml = (b'<document id="d"><table id="t" header_rows="1">'
+               b'<row><cell text="a"/></row><row><cell text="b"/></row><row><cell text="c"/></row>'
+               b'<statements><statement id="s" text="x" type="entailed">'
+               b'<evidence><cell row="1" col="0"/></evidence>'
+               b'</statement></statements></table></document>')
+        xml = xml.replace(f'{attribute}="1"'.encode(), f'{attribute}="{value}"'.encode("utf-8"))
+        with pytest.raises(cp.SchemaError, match=f"{attribute}={value!r} is not an integer"):
+            cp.parse_xml(xml)
+
 
 class TestInterchange:
     @given(documents())
@@ -145,23 +158,23 @@ class TestCorpusStats:
 
     def test_hand_enumerated_counts(self):
         stats = cp.corpus_stats(self.fixture_corpus())
-        assert stats.table_count == 2
-        assert (stats.entailed, stats.refuted, stats.unknown) == (5, 2, 1)
+        assert stats["table_count"] == 2
+        assert (stats["entailed"], stats["refuted"], stats["unknown"]) == (5, 2, 1)
         # statement token counts: 2,3,1,4,1,2,3,1
-        assert stats.stmt_tokens_max == 4
-        assert stats.stmt_tokens_min == 1
-        assert stats.stmt_tokens_mean == pytest.approx(17 / 8)
+        assert stats["stmt_tokens_max"] == 4
+        assert stats["stmt_tokens_min"] == 1
+        assert stats["stmt_tokens_mean"] == pytest.approx(17 / 8)
         # row whitespace tokens: t1 -> 2, 4, 2; t2 -> 1, 1
-        assert stats.row_tokens_max == 4
-        assert stats.row_tokens_min == 1
-        assert stats.row_tokens_mean == pytest.approx(10 / 5)
-        assert (stats.row_count_max, stats.row_count_min) == (3, 2)
+        assert stats["row_tokens_max"] == 4
+        assert stats["row_tokens_min"] == 1
+        assert stats["row_tokens_mean"] == pytest.approx(10 / 5)
+        assert (stats["row_count_max"], stats["row_count_min"]) == (3, 2)
 
     def test_empty_corpus_zeroed(self):
         stats = cp.corpus_stats([])
-        assert stats.table_count == 0
-        assert stats.stmt_tokens_mean == 0
-        assert stats.row_count_max == 0
+        assert stats["table_count"] == 0
+        assert stats["stmt_tokens_mean"] == 0
+        assert stats["row_count_max"] == 0
 
     def test_permutation_invariant(self):
         docs = self.fixture_corpus()
@@ -169,5 +182,5 @@ class TestCorpusStats:
 
     def test_max_ge_mean_ge_min(self):
         stats = cp.corpus_stats(self.fixture_corpus())
-        assert stats.stmt_tokens_max >= stats.stmt_tokens_mean >= stats.stmt_tokens_min
-        assert stats.row_tokens_max >= stats.row_tokens_mean >= stats.row_tokens_min
+        assert stats["stmt_tokens_max"] >= stats["stmt_tokens_mean"] >= stats["stmt_tokens_min"]
+        assert stats["row_tokens_max"] >= stats["row_tokens_mean"] >= stats["row_tokens_min"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,18 @@ class TestTrain:
             ens.TrainConfig(epochs=0)
         with pytest.raises(ens.EnsembleError):
             ens.TrainConfig(l2=-1)
+        for field in ("learning_rate", "l2"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ens.EnsembleError, match=f"{field} must be finite"):
+                    ens.TrainConfig(**{field: value})
+
+    def test_divergence_raises_training_error(self):
+        """A finite rate that overflows the weights is an EnsembleError, so the
+        CLI reports it as bad input."""
+        examples = random_examples(10, 1, seed=1)
+        with pytest.raises(ens.EnsembleError, match="^non-finite loss at epoch 1$") as exc:
+            ens.train(examples, ens.TrainConfig(learning_rate=1e308))
+        assert isinstance(exc.value, ens.TrainingError) and exc.value.epoch == 1
 
 
 class TestGradientCheck:

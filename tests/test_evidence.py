@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -11,7 +12,8 @@ from conftest import make_statement, make_table
 
 def brute_force(statement, table, abbrevs=None):
     """Cell-by-cell re-derivation of the four rules, written directly from
-    their definitions (quadratic scans, no shared code paths)."""
+    their definitions (quadratic scans, no shared code paths); returns the
+    set of relevant cells."""
     bag = set(tn.normalize(statement.text, abbrevs))
     n_rows, n_cols = table.n_rows, table.n_cols
     header = min(table.header_rows, n_rows)
@@ -37,20 +39,16 @@ def brute_force(statement, table, abbrevs=None):
                 # rule 4: word in this cell
                 if cell_has(r, c, word):
                     relevant[r][c] = True
-    return tuple(tuple(row) for row in relevant)
-
-
-def relevant_cells(verdicts):
-    return {(r, c) for r, row in enumerate(verdicts) for c, v in enumerate(row) if v}
+    return {(r, c) for r in range(n_rows) for c in range(n_cols) if relevant[r][c]}
 
 
 class TestFindEvidence:
     def test_entailed_short_circuit(self):
         table = make_table([["h1", "h2"], ["a", "b"]])
         stmt = make_statement("s", "whatever")
-        verdicts, trace = ev.find_evidence(stmt, tn.TableView(table), Label.ENTAILED)
-        assert all(all(row) for row in verdicts)
-        assert all(cell == (ev.ALL_ENTAILED,) for row in trace for cell in row)
+        fired = ev.find_evidence(stmt, tn.TableView(table), Label.ENTAILED)
+        assert set(fired) == {(r, c) for r in range(2) for c in range(2)}
+        assert all(rules == (ev.ALL_ENTAILED,) for rules in fired.values())
 
     def test_unknown_rejected(self):
         table = make_table([["h"], ["a"]])
@@ -62,17 +60,17 @@ class TestFindEvidence:
                             ["ann", "4", "2001"],
                             ["bob", "7", "2002"]])
         stmt = make_statement("s", "the score went up")
-        verdicts, trace = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
-        assert verdicts == brute_force(stmt, table)
-        assert relevant_cells(verdicts) == {(1, 1), (2, 1), (0, 1)}
+        fired = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
+        assert set(fired) == brute_force(stmt, table)
+        assert set(fired) == {(1, 1), (2, 1), (0, 1)}
         # (0,1) via rule 4 on the header cell itself; body cells via rule 1
-        assert "1" in trace[1][1] and "1" in trace[2][1]
+        assert "1" in fired[(1, 1)] and "1" in fired[(2, 1)]
 
     def test_no_shared_words_all_false(self):
         table = make_table([["h1", "h2"], ["a", "b"]])
         stmt = make_statement("s", "zz qq")
-        verdicts, _ = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
-        assert not any(any(row) for row in verdicts)
+        fired = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
+        assert fired == {}
 
     def test_rules_1_2_3_union(self):
         # "total" hits header col 1 and the first-column cell of body row 3
@@ -81,32 +79,31 @@ class TestFindEvidence:
                             ["pears", "2"],
                             ["total", "6"]])
         stmt = make_statement("s", "the total is wrong")
-        verdicts, trace = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
-        assert verdicts == brute_force(stmt, table)
+        fired = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
+        assert set(fired) == brute_force(stmt, table)
         # rule 1: body cells of column 1; rule 2: all of row 3; rule 3: (3,1)
-        assert {(1, 1), (2, 1), (3, 1), (3, 0)} <= relevant_cells(verdicts)
-        assert "3" in trace[3][1]
-        assert "1" in trace[1][1] and "2" in trace[3][0]
+        assert {(1, 1), (2, 1), (3, 1), (3, 0)} <= set(fired)
+        assert "3" in fired[(3, 1)]
+        assert "1" in fired[(1, 1)] and "2" in fired[(3, 0)]
 
     def test_multi_token_cell_matches_any_token(self):
         table = make_table([["h"], ["mean value"]])
         stmt = make_statement("s", "the mean")
-        verdicts, _ = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
-        assert verdicts[1][0]
+        fired = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
+        assert (1, 0) in fired
 
     def test_abbreviations_align(self):
         abbrevs = tn.make_abbrev_table([("no", "number")])
         table = make_table([["no"], ["5"]])
         stmt = make_statement("s", "the number")
-        verdicts, _ = ev.find_evidence(stmt, tn.TableView(table, abbrevs), Label.REFUTED)
-        assert verdicts[1][0]  # rule 1 via expanded header token
+        fired = ev.find_evidence(stmt, tn.TableView(table, abbrevs), Label.REFUTED)
+        assert (1, 0) in fired  # rule 1 via expanded header token
 
     def test_dimensions_match_grid(self):
         table = make_table([["a", "b", "c"], ["d", "e", "f"]])
-        verdicts, trace = ev.find_evidence(make_statement("s", "d"), tn.TableView(table),
-                                           Label.REFUTED)
-        assert len(verdicts) == 2 and all(len(r) == 3 for r in verdicts)
-        assert len(trace) == 2 and all(len(r) == 3 for r in trace)
+        fired = ev.find_evidence(make_statement("s", "d"), tn.TableView(table),
+                                 Label.REFUTED)
+        assert all(0 <= r < 2 and 0 <= c < 3 for r, c in fired)
 
 
 def random_case(rng, vocab_size=10, max_dim=6):
@@ -127,39 +124,38 @@ class TestOracleEquivalence:
         for _ in range(400):
             table, stmt = random_case(rng)
             label = rng.choice([Label.ENTAILED, Label.REFUTED])
-            verdicts, _ = ev.find_evidence(stmt, tn.TableView(table), label)
+            fired = ev.find_evidence(stmt, tn.TableView(table), label)
             if label == Label.ENTAILED:
-                assert all(all(row) for row in verdicts)
+                assert len(fired) == table.n_rows * table.n_cols
             else:
-                assert verdicts == brute_force(stmt, table)
+                assert set(fired) == brute_force(stmt, table)
 
     def test_rule3_subset_of_rules_1_and_2(self):
         rng = random.Random(88)
         for _ in range(400):
             table, stmt = random_case(rng)
-            _, trace = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
-            for row in trace:
-                for fired in row:
-                    if "3" in fired:
-                        assert "1" in fired and "2" in fired
+            fired = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
+            for rules in fired.values():
+                if "3" in rules:
+                    assert "1" in rules and "2" in rules
 
     def test_monotone_in_statement_words(self):
         rng = random.Random(99)
         for _ in range(200):
             table, stmt = random_case(rng)
             extra = make_statement("s", stmt.text + " w0 w1")
-            before, _ = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
-            after, _ = ev.find_evidence(extra, tn.TableView(table), Label.REFUTED)
-            assert relevant_cells(before) <= relevant_cells(after)
+            before = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
+            after = ev.find_evidence(extra, tn.TableView(table), Label.REFUTED)
+            assert set(before) <= set(after)
 
     def test_trace_nonempty_iff_relevant(self):
+        """Every mapped cell has at least one rule id, in sorted order."""
         rng = random.Random(55)
         for _ in range(100):
             table, stmt = random_case(rng)
-            verdicts, trace = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
-            for r, row in enumerate(verdicts):
-                for c, verdict in enumerate(row):
-                    assert verdict == bool(trace[r][c])
+            fired = ev.find_evidence(stmt, tn.TableView(table), Label.REFUTED)
+            for rules in fired.values():
+                assert rules and list(rules) == sorted(set(rules))
 
 
 class TestRle:
@@ -167,14 +163,21 @@ class TestRle:
         rng = random.Random(5)
         for _ in range(100):
             n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
-            verdicts = tuple(tuple(rng.random() < 0.4 for _ in range(n_cols))
-                             for _ in range(n_rows))
-            runs = ev.rle_encode(verdicts)
-            assert ev.rle_decode(runs, n_rows, n_cols) == verdicts
+            cells = {(r, c) for r in range(n_rows) for c in range(n_cols)
+                     if rng.random() < 0.4}
+            runs = ev.rle_encode(cells, n_rows, n_cols)
+            flat = [(r, c) in cells for r in range(n_rows) for c in range(n_cols)]
+            assert runs == [0] * flat[0] + [len(list(g)) for _, g in itertools.groupby(flat)]
+            assert ev.rle_decode(runs, n_rows, n_cols) == cells
 
     def test_starts_with_false_run(self):
-        assert ev.rle_encode(((True, True),)) == [0, 2]
-        assert ev.rle_encode(((False, True),)) == [1, 1]
+        assert ev.rle_encode({(0, 0), (0, 1)}, 1, 2) == [0, 2]
+        assert ev.rle_encode({(0, 1)}, 1, 2) == [1, 1]
+
+    def test_no_relevant_cells(self):
+        assert ev.rle_encode({}, 2, 2) == [4]
+        assert ev.rle_encode(set(), 0, 0) == [0]
+        assert ev.rle_decode([4], 2, 2) == frozenset()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
