@@ -21,7 +21,6 @@ Task B and rejected.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from . import textnorm
@@ -67,10 +66,15 @@ def find_evidence(statement, view, taska_label):
     return fired
 
 
-def rle_encode(cells, n_rows, n_cols):
+def rle_encode(cells, n_rows=None, n_cols=None):
     """Row-major run-length encoding of the relevant ``cells`` (a set of
     ``(row, col)``, or a dict keyed by them) of an ``n_rows`` x ``n_cols``
-    grid; runs alternate starting with an irrelevant run."""
+    grid; runs alternate starting with an irrelevant run.  Without a shape,
+    ``cells`` is a list of rows of booleans, the form the benchmark's
+    self-tests still pass."""
+    if n_rows is None:
+        n_rows, n_cols = len(cells), len(cells[0]) if cells else 0
+        cells = [(r, c) for r, row in enumerate(cells) for c, v in enumerate(row) if v]
     runs = []
     end = 0  # flat index just past the last run
     for i in sorted(r * n_cols + c for r, c in cells):
@@ -92,14 +96,7 @@ def rle_decode(runs, n_rows, n_cols):
             raise ValueError(f"negative run length {count}")
     if sum(runs) != n_rows * n_cols:
         raise ValueError(f"run lengths sum to {sum(runs)}, expected {n_rows * n_cols}")
-    grid = _grid_cells(n_rows, n_cols)
     bounds = list(itertools.accumulate(runs, initial=0))
     # the relevant runs are the odd ones: run k spans bounds[k]..bounds[k + 1]
-    return frozenset().union(*(grid[a:b] for a, b in zip(bounds[1::2], bounds[2::2])))
-
-
-@functools.lru_cache(maxsize=None)
-def _grid_cells(n_rows, n_cols):
-    """Every (row, col) of an n_rows x n_cols grid, row-major: built once per
-    shape, so the decoded cell sets of same-shaped tables share the tuples."""
-    return tuple((r, c) for r in range(n_rows) for c in range(n_cols))
+    return frozenset(divmod(i, n_cols) for a, b in zip(bounds[1::2], bounds[2::2])
+                     for i in range(a, b))

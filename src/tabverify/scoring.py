@@ -130,7 +130,8 @@ def score_task_b(pred_maps, gold_corpus):
 
     ``pred_maps`` maps (table_id, stmt_id) to the set of relevant (row, col)
     cells.  Statement score is the best F1 over gold versions, reported
-    under ``"table_id/stmt_id"``; averaged per table, then across tables.
+    under ``"table_id/stmt_id"``, which must name one statement only;
+    averaged per table, then across tables.
     """
     per_table = {}
     per_statement = {}
@@ -146,8 +147,10 @@ def score_task_b(pred_maps, gold_corpus):
                 (_cell_prf(pred_maps[key], cells) for cells in st.gold_evidence),
                 key=lambda prf: prf[2],
             )
-            per_statement[f"{doc.table_id}/{st.stmt_id}"] = {
-                "precision": best[0], "recall": best[1], "f1": best[2]}
+            name = f"{doc.table_id}/{st.stmt_id}"
+            if name in per_statement:
+                raise ScoringError(f"statement {key} and an earlier one share the key {name!r}")
+            per_statement[name] = {"precision": best[0], "recall": best[1], "f1": best[2]}
             stmt_scores.append(best[2])
         if stmt_scores:
             per_table[doc.table_id] = sum(stmt_scores) / len(stmt_scores)

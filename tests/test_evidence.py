@@ -169,6 +169,8 @@ class TestRle:
             flat = [(r, c) in cells for r in range(n_rows) for c in range(n_cols)]
             assert runs == [0] * flat[0] + [len(list(g)) for _, g in itertools.groupby(flat)]
             assert ev.rle_decode(runs, n_rows, n_cols) == cells
+            grid = [flat[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
+            assert ev.rle_encode(grid) == runs
 
     def test_starts_with_false_run(self):
         assert ev.rle_encode({(0, 0), (0, 1)}, 1, 2) == [0, 2]

@@ -172,6 +172,15 @@ class TestScoreTaskB:
         assert report["overall"] == 1.0
         assert "t1/s1" not in report["per_statement"]
 
+    def test_colliding_report_keys_rejected(self):
+        # ("a/b", "c") and ("a", "b/c") would both be reported as "a/b/c"
+        docs = [make_table([["h"], ["x"]], table_id=tid, statements=[
+                    make_statement(sid, "x", E, [{(0, 0)}])])
+                for tid, sid in (("a/b", "c"), ("a", "b/c"))]
+        preds = {("a/b", "c"): {(0, 0)}, ("a", "b/c"): {(0, 0)}}
+        with pytest.raises(scoring.ScoringError, match="'a/b/c'"):
+            scoring.score_task_b(preds, docs)
+
 
 class TestRandomizedOracle:
     def random_corpus(self, rng):
