@@ -7,8 +7,7 @@ Class order is fixed as [Entailed, Refuted, Unknown] everywhere.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import sys
 
 from . import corpus, textnorm
 from .corpus import Label
@@ -25,30 +24,13 @@ class ScoreFileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    model_name: str
-    table_id: str
-    stmt_id: str
-    scores: tuple  # (entailed, refuted, unknown)
-    extra: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        if not self.model_name:
-            raise ScoreFileError("model_name must be non-empty")
-        if len(self.scores) != 3:
-            raise ScoreFileError(f"expected 3 scores, got {len(self.scores)}")
-        if not all(isinstance(s, (int, float)) and math.isfinite(s) for s in self.scores):
-            raise ScoreFileError(f"scores must be finite numbers, got {self.scores}")
-
-
-def lexical_baseline(statement, view, rows, n_values=(1, 2), model_name="lexical"):
+def lexical_baseline(statement, view, rows, n_values=(1, 2)):
     """Deterministic stand-in classifier over the snapshot ``rows`` of
     ``view`` (a ``textnorm.TableView``).
 
-    Scores (o, n, 1-o), where o is the best overlap rate over those rows
-    and n = o * NEGATION_FACTOR when the statement carries a negation cue
-    (0 otherwise).  Scores are raw, not normalized.
+    Returns the score triple (o, n, 1-o), where o is the best overlap rate
+    over those rows and n = o * NEGATION_FACTOR when the statement carries a
+    negation cue (0 otherwise).  Scores are raw, not normalized.
     """
     stmt_tokens = textnorm.normalize(statement.text, view.abbrevs)
     stmt_grams = textnorm.ngram_set(stmt_tokens, n_values)
@@ -57,27 +39,55 @@ def lexical_baseline(statement, view, rows, n_values=(1, 2), model_name="lexical
         o = max(o, textnorm.overlap_rate(stmt_grams, view.row_grams(idx, n_values)))
     negated = bool(textnorm.NEGATION_TOKENS & set(stmt_tokens))
     n = o * NEGATION_FACTOR if negated else 0.0
-    return ScoreVector(model_name, view.table_id, statement.stmt_id,
-                       (o, n, 1.0 - o))
+    return (o, n, 1.0 - o)
 
 
 SCORE_KEY = ("model", "table_id", "stmt_id")
 
 
-def write_scores(score_vectors, path):
-    """One JSON object per line; unknown fields round-trip opaquely."""
-    corpus.write_jsonl(({**sv.extra, "model": sv.model_name, "table_id": sv.table_id,
-                         "stmt_id": sv.stmt_id, "scores": list(sv.scores)}
-                        for sv in score_vectors), path)
+def write_scores(scores, path):
+    """One JSON object per line from ``{(model, table_id, stmt_id): triple}``."""
+    corpus.write_jsonl(({"model": model, "table_id": table_id, "stmt_id": stmt_id,
+                         "scores": list(triple)}
+                        for (model, table_id, stmt_id), triple in scores.items()), path)
 
 
-def _score_from_json(obj):
-    extra = {k: v for k, v in obj.items() if k not in SCORE_KEY and k != "scores"}
-    return ScoreVector(obj["model"], obj["table_id"], obj["stmt_id"],
-                       tuple(corpus.json_field(obj, "scores", list)), extra)
+def _score_triple(obj):
+    if not obj["model"]:
+        raise ScoreFileError("model must be non-empty")
+    scores = tuple(corpus.json_field(obj, "scores", list))
+    if len(scores) != 3:
+        raise ScoreFileError(f"expected 3 scores, got {len(scores)}")
+    # JSON booleans are not numbers, and an integer past the float range is not finite here.
+    if not all(type(s) in (int, float) and abs(s) <= sys.float_info.max for s in scores):
+        raise ScoreFileError(f"scores must be finite numbers, got {scores}")
+    return scores
 
 
-def read_scores(path):
-    """Score vectors in file order; a score file holds one record per
-    (model, table_id, stmt_id).  Bad records raise ScoreFileError."""
-    return list(corpus.read_jsonl(path, _score_from_json, SCORE_KEY, ScoreFileError).values())
+def read_scores(paths):
+    """Every score file's triples as ``{(table_id, stmt_id): {model: triple}}``,
+    and the model names in order of first appearance.
+
+    A (model, table_id, stmt_id) key may appear once across all the files,
+    and every statement needs a triple from every model; one model's triples
+    may be split across files.  Unknown fields are ignored.  Bad records
+    raise ScoreFileError.
+    """
+    scores = {}
+    sources = {}  # (model, table_id, stmt_id) -> path
+    for path in paths:
+        records = corpus.read_jsonl(path, _score_triple, SCORE_KEY, ScoreFileError)
+        for key, triple in records.items():
+            if key in sources:
+                raise ScoreFileError(
+                    f"{path}: duplicate record for {key}, also in {sources[key]}")
+            sources[key] = path
+            scores.setdefault(key[1:], {})[key[0]] = triple
+    model_names = tuple(dict.fromkeys(model for model, _, _ in sources))
+    for (table_id, stmt_id), by_model in scores.items():
+        if len(by_model) < len(model_names):
+            model = next(m for m in model_names if m not in by_model)
+            files = ", ".join(dict.fromkeys(str(p) for k, p in sources.items() if k[0] == model))
+            raise ScoreFileError(
+                f"{files}: missing scores from model {model!r} for ({table_id}, {stmt_id})")
+    return scores, model_names

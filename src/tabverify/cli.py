@@ -1,10 +1,11 @@
 """Command-line entry point wiring the pipeline together.
 
 Subcommands: parse, stats, augment, snapshot, baseline, ensemble-train,
-predict, evidence, score.  Every run writes a manifest
-(<output>.manifest.json) recording the subcommand, every parsed option plus
-the values resolved from the input, tool version and timestamp; reruns with
-identical inputs and flags produce identical outputs (manifest timestamp aside).
+predict, evidence, score.  Every run that writes an output file (all but
+``stats`` without ``--out``) also writes a manifest (<output>.manifest.json)
+recording the subcommand, every parsed option plus the values resolved from
+the input, tool version and timestamp; reruns with identical inputs and
+flags produce identical outputs (manifest timestamp aside).
 
 Log level comes from the TABFACT_KIT_LOG environment variable.
 """
@@ -73,10 +74,16 @@ def cmd_parse(args):
     if not files:
         log.warning("no XML files in %s", in_dir)
     docs = []
+    seen = {}  # table_id -> the file it came from
     failures = []
     for path in files:
         try:
-            docs.append(corpus.parse_xml(path.read_bytes()))
+            doc = corpus.parse_xml(path.read_bytes())
+            if doc.table_id in seen:
+                raise corpus.SchemaError(
+                    f"duplicate table_id {doc.table_id!r}, also in {seen[doc.table_id]}")
+            seen[doc.table_id] = path
+            docs.append(doc)
         except corpus.CorpusError as exc:
             failures.append(path)
             log.error("%s: %s", path, exc)
@@ -155,7 +162,7 @@ def cmd_baseline(args):
     docs = corpus.read_corpus(args.corpus)
     snaps = _read_snapshots(args.snapshots)
     abbrevs = _load_abbrevs(args.abbrev_file)
-    score_vectors = []
+    scores = {}
     for doc in docs:
         view = textnorm.TableView(doc, abbrevs)
         body = doc.body_row_indices
@@ -168,41 +175,20 @@ def cmd_baseline(args):
                 raise ValueError(f"{args.snapshots}: snapshot rows {list(rows)} "
                                  f"for table {doc.table_id!r} statement {st.stmt_id!r} "
                                  "are not body rows")
-            score_vectors.append(classify.lexical_baseline(
-                st, view, rows, args.ngrams, args.model_name))
-    classify.write_scores(score_vectors, args.out)
+            scores[(args.model_name, doc.table_id, st.stmt_id)] = classify.lexical_baseline(
+                st, view, rows, args.ngrams)
+    classify.write_scores(scores, args.out)
     _write_manifest(args)
     return 0
 
 
-def _group_scores(score_files):
-    """All score vectors, grouped by (table_id, stmt_id); model order = first
-    appearance across the files.  A (model, table_id, stmt_id) key may appear
-    in only one file."""
-    grouped = {}
-    first_seen = {}
-    for path in score_files:
-        for sv in classify.read_scores(path):
-            key = (sv.model_name, sv.table_id, sv.stmt_id)
-            if key in first_seen:
-                raise classify.ScoreFileError(
-                    f"{path}: duplicate record for {key}, also in {first_seen[key]}")
-            first_seen[key] = path
-            grouped.setdefault(key[1:], []).append(sv)
-    return grouped, tuple(dict.fromkeys(model for model, _, _ in first_seen))
-
-
 def cmd_ensemble_train(args):
     docs = corpus.read_corpus(args.corpus)
-    grouped, model_names = _group_scores(args.scores)
+    scores, model_names = classify.read_scores(args.scores)
     gold = {(doc.table_id, st.stmt_id): st.gold_label
             for doc in docs for st in doc.statements if st.gold_label}
-    examples = []
-    for key in sorted(grouped):
-        if key not in gold:
-            continue
-        examples.append((ensemble.assemble_features(grouped[key], model_names),
-                         gold[key]))
+    examples = [(ensemble.assemble_features(scores[key], model_names), gold[key])
+                for key in sorted(scores) if key in gold]
     config = ensemble.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                                   rng_seed=args.seed, l2=args.l2)
     layer, trace = ensemble.train(examples, config, model_names)
@@ -213,16 +199,15 @@ def cmd_ensemble_train(args):
 
 
 def cmd_predict(args):
-    grouped, _ = _group_scores(args.scores)
+    scores, _ = classify.read_scores(args.scores)
     layer = ensemble.VoteLayer.load(args.layer)
     records = []
-    for (table_id, stmt_id) in sorted(grouped):
-        svs = grouped[(table_id, stmt_id)]
+    for (table_id, stmt_id), by_model in sorted(scores.items()):
         if args.majority:
-            label = ensemble.majority_vote(svs, layer)
+            label = ensemble.majority_vote(by_model, layer)
         else:
             label = ensemble.predict(
-                layer, ensemble.assemble_features(svs, layer.model_names))
+                layer, ensemble.assemble_features(by_model, layer.model_names))
         records.append({"table_id": table_id, "stmt_id": stmt_id,
                         "label": label.value})
     corpus.write_jsonl(records, args.out)

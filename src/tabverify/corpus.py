@@ -122,7 +122,7 @@ def _check_statements(grid, statements, table_id):
             if not cells:
                 raise SchemaError(f"statement {st.stmt_id!r} has an empty evidence version")
             for r, c in cells:
-                if not (isinstance(r, int) and isinstance(c, int)
+                if not (type(r) is int and type(c) is int  # a bool is no index
                         and 0 <= r < n_rows and 0 <= c < n_cols):
                     raise SchemaError(
                         f"statement {st.stmt_id!r} evidence cell ({r!r}, {c!r}) out of bounds"
@@ -209,9 +209,10 @@ def parse_xml(data):
 
 def json_field(obj, name, kind, item=None):
     """``obj[name]``, of type ``kind`` (with ``item``: a list of ``item``).  A
-    missing field is a KeyError, a wrongly typed one a SchemaError."""
+    missing field is a KeyError, a wrongly typed one a SchemaError.  Types
+    must match exactly, so a JSON boolean is not an int."""
     value = obj[name]
-    if not isinstance(value, kind) or (item and not all([isinstance(v, item) for v in value])):
+    if type(value) is not kind or (item and not all([type(v) is item for v in value])):
         expected = kind.__name__ + (f" of {item.__name__}" if item else "")
         raise SchemaError(f"field {name!r} must be {expected}, got {reprlib.repr(value)}")
     return value

@@ -3,8 +3,8 @@ score vectors to a 3-class distribution (multinomial logistic regression).
 
 Training is full-batch gradient descent on mean cross-entropy plus an L2
 penalty, from zero initialization.  The objective is convex, so the result
-is deterministic; rng_seed is kept in the config only for optional data
-shuffling by callers.
+is deterministic.  Nothing reads TrainConfig.rng_seed; it stays only because
+the saved layer file echoes the config.
 """
 
 from __future__ import annotations
@@ -92,23 +92,13 @@ class VoteLayer:
                 raise EnsembleError(f"{path}: {bad_input_reason(exc)}") from exc
 
 
-def assemble_features(score_vectors, model_names):
-    """Concatenate one score triple per model, in model_names order."""
-    by_model = {}
-    for sv in score_vectors:
-        if sv.model_name in by_model:
-            raise EnsembleError(
-                f"duplicate scores from model {sv.model_name!r} for "
-                f"({sv.table_id}, {sv.stmt_id})")
-        by_model[sv.model_name] = sv
-    feats = []
-    for name in model_names:
-        if name not in by_model:
-            ids = next(iter(by_model.values()), None)
-            where = f" for ({ids.table_id}, {ids.stmt_id})" if ids else ""
-            raise EnsembleError(f"missing scores from model {name!r}{where}")
-        feats.extend(by_model[name].scores)
-    return np.asarray(feats, dtype=float)
+def assemble_features(scores, model_names):
+    """Concatenate one statement's score triples, ``{model: triple}``, in
+    model_names order."""
+    try:
+        return np.asarray([s for name in model_names for s in scores[name]], dtype=float)
+    except KeyError as exc:
+        raise EnsembleError(f"missing scores from model {exc.args[0]!r}") from None
 
 
 def _softmax(logits):
@@ -194,18 +184,19 @@ def gradients(layer, examples, l2=0.0):
     return grad_w, grad_b
 
 
-def majority_vote(score_vectors, layer=None):
-    """No-training ensemble mode: per-model argmax, then plurality.
+def majority_vote(scores, layer=None):
+    """No-training ensemble mode over one statement's ``{model: triple}``:
+    per-model argmax, then plurality.
 
     A plurality tie falls back to the trained layer's forward pass when one
     is supplied, otherwise to class order E > R > U.
     """
     counts = {label: 0 for label in CLASS_ORDER}
-    for sv in score_vectors:
-        counts[CLASS_ORDER[int(np.argmax(sv.scores))]] += 1
+    for triple in scores.values():
+        counts[CLASS_ORDER[int(np.argmax(triple))]] += 1
     best = max(counts.values())
     winners = [label for label in CLASS_ORDER if counts[label] == best]
     if len(winners) > 1 and layer is not None:
-        feats = assemble_features(score_vectors, layer.model_names)
+        feats = assemble_features(scores, layer.model_names)
         return predict(layer, feats)
     return winners[0]

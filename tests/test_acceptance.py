@@ -22,7 +22,8 @@ from tabverify.textnorm import TableView
 
 from conftest import make_statement, make_table
 from test_cli import run_pipeline
-from test_ensemble import planted_separable, random_examples, TestGradientCheck
+import test_ensemble
+from test_ensemble import planted_separable, random_examples
 from test_evidence import brute_force as evidence_brute_force, random_case
 from test_snapshot import brute_force_rows, random_instance
 from test_scoring import corpus_from_labels, preds_from, naive_task_a, naive_task_b
@@ -104,7 +105,7 @@ def test_snapshot_oracle_equivalence_1000():
 
 def test_vote_layer_gradients_and_training():
     start = time.perf_counter()
-    checker = TestGradientCheck()
+    checker = test_ensemble.TestGradientCheck()
     r = np.random.default_rng(31337)
     for trial in range(100):
         m = int(r.integers(1, 7))

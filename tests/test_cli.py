@@ -83,6 +83,17 @@ class TestParse:
         assert run(["parse", str(src), str(out)]) == 1
         assert len(read_corpus(out)) == 2
 
+    def test_repeated_table_id_is_a_failed_file(self, fixtures_dir, tmp_path, caplog):
+        src = tmp_path / "corpus"
+        shutil.copytree(fixtures_dir / "corpus", src)
+        shutil.copy(src / "t1.xml", src / "t6.xml")
+        out = tmp_path / "corpus.jsonl"
+        assert run(["parse", str(src), str(out)]) == 1
+        assert [doc.table_id for doc in read_corpus(out)] == ["t1", "t2", "t3", "t4", "t5"]
+        assert f"{src / 't6.xml'}: duplicate table_id 't1', also in {src / 't1.xml'}" \
+            in caplog.text
+        assert run(["stats", str(out)]) == 0
+
     def test_missing_input(self, tmp_path, capsys):
         assert run(["parse", str(tmp_path / "nope"), str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'nope'}: not a directory\n"
@@ -187,10 +198,24 @@ def set_field(name, value):
     return lambda line: json.dumps({**json.loads(line), name: value})
 
 
+def set_first_evidence(cells):
+    def rewrite(line):
+        record = json.loads(line)
+        record["statements"][0]["evidence"] = [cells]
+        return json.dumps(record)
+    return rewrite
+
+
 def not_body_rows(rows):
     return ("snapshots.jsonl", 1, set_field("rows", rows), BASELINE,
             f"{{w}}/snapshots.jsonl: snapshot rows {rows} for table 't1' statement 's1' "
             "are not body rows")
+
+
+def missing_model(argv):
+    """The first statement scored by a second model only, 'other'."""
+    return ("scores.jsonl", 1, set_field("model", "other"), argv,
+            "{w}/scores.jsonl: missing scores from model 'lexical' for (t1, s1)")
 
 
 class TestJsonlBoundary:
@@ -245,13 +270,28 @@ class TestJsonlBoundary:
         ("scores.jsonl", 1, lambda line: line, ["predict", "{w}/scores.jsonl", *PREDICT[1:]],
          "{w}/scores.jsonl: duplicate record for ('lexical', 't1', 's1'), "
          "also in {w}/scores.jsonl"),
+        ("corpus.jsonl", 1, set_field("header_rows", True), STATS,
+         "{w}/corpus.jsonl:1: field 'header_rows' must be int, got True"),
+        ("snapshots.jsonl", 1, set_field("rows", [True]), BASELINE,
+         "{w}/snapshots.jsonl:1: field 'rows' must be list of int, got [True]"),
+        ("scores.jsonl", 1, set_field("scores", [True, False, 0]), PREDICT,
+         "{w}/scores.jsonl:1: scores must be finite numbers, got (True, False, 0)"),
+        ("corpus.jsonl", 1, set_first_evidence([[True, 0]]), STATS,
+         "{w}/corpus.jsonl:1: statement 's1' evidence cell (True, 0) out of bounds"),
+        missing_model(PREDICT),
+        missing_model([*PREDICT, "--majority"]),
+        missing_model(["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
+                       "--out", "{w}/layer2.json"]),
     ], ids=["missing-snapshot", "missing-field", "invalid-json", "duplicate-prediction",
             "duplicate-snapshot", "duplicate-evidence", "duplicate-table",
             "grid-type", "header-rows-type", "statements-null", "corpus-line-not-object",
             "scores-type", "score-item-type", "score-id-type", "duplicate-score",
             "missing-prediction", "snapshot-row-negative", "snapshot-row-header",
             "snapshot-row-past-end", "score-missing-prediction", "score-missing-evidence",
-            "score-evidence-shape", "duplicate-score-across-files"])
+            "score-evidence-shape", "duplicate-score-across-files", "header-rows-bool",
+            "snapshot-row-bool", "scores-bool", "evidence-cell-bool",
+            "score-missing-model", "score-missing-model-majority",
+            "score-missing-model-train"])
     def test_bad_record_reports_location(self, fixtures_dir, tmp_path, capsys,
                                          name, lineno, rewrite, argv, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tabverify import ensemble as ens
-from tabverify.classify import ScoreVector
 from tabverify.corpus import Label
 
 rng = np.random.default_rng(2024)
@@ -30,25 +29,16 @@ def planted_separable(n=200, seed=5):
 
 
 class TestAssembleFeatures:
-    def sv(self, name, scores):
-        return ScoreVector(name, "t", "s", scores)
-
     def test_concatenation_order(self):
-        feats = ens.assemble_features(
-            [self.sv("b", (4, 5, 6)), self.sv("a", (1, 2, 3))], ("a", "b"))
+        feats = ens.assemble_features({"b": (4, 5, 6), "a": (1, 2, 3)}, ("a", "b"))
         assert list(feats) == [1, 2, 3, 4, 5, 6]
 
     def test_missing_model_named(self):
         with pytest.raises(ens.EnsembleError, match="tapas_wsmlr"):
-            ens.assemble_features([self.sv("a", (1, 2, 3))], ("a", "tapas_wsmlr"))
-
-    def test_duplicate_model_rejected(self):
-        with pytest.raises(ens.EnsembleError, match="duplicate"):
-            ens.assemble_features(
-                [self.sv("a", (1, 2, 3)), self.sv("a", (1, 2, 3))], ("a",))
+            ens.assemble_features({"a": (1, 2, 3)}, ("a", "tapas_wsmlr"))
 
     def test_single_model_identity(self):
-        feats = ens.assemble_features([self.sv("a", (7, 8, 9))], ("a",))
+        feats = ens.assemble_features({"a": (7, 8, 9)}, ("a",))
         assert list(feats) == [7, 8, 9]
 
 
@@ -217,21 +207,18 @@ class TestPersistence:
 
 
 class TestMajorityVote:
-    def sv(self, name, scores):
-        return ScoreVector(name, "t", "s", scores)
-
     def test_plurality(self):
-        svs = [self.sv("a", (3, 1, 0)), self.sv("b", (2, 0, 1)), self.sv("c", (0, 0, 5))]
-        assert ens.majority_vote(svs) == Label.ENTAILED
+        scores = {"a": (3, 1, 0), "b": (2, 0, 1), "c": (0, 0, 5)}
+        assert ens.majority_vote(scores) == Label.ENTAILED
 
     def test_tie_without_layer_uses_class_order(self):
-        svs = [self.sv("a", (3, 1, 0)), self.sv("b", (0, 5, 1))]
-        assert ens.majority_vote(svs) == Label.ENTAILED
+        scores = {"a": (3, 1, 0), "b": (0, 5, 1)}
+        assert ens.majority_vote(scores) == Label.ENTAILED
 
     def test_tie_with_layer_uses_forward(self):
         # layer strongly favors whatever model b says
         weights = np.zeros((3, 6))
         weights[:, 3:] = np.eye(3) * 10
         layer = ens.VoteLayer(("a", "b"), weights, np.zeros(3))
-        svs = [self.sv("a", (3, 1, 0)), self.sv("b", (0, 5, 1))]
-        assert ens.majority_vote(svs, layer) == Label.REFUTED
+        scores = {"a": (3, 1, 0), "b": (0, 5, 1)}
+        assert ens.majority_vote(scores, layer) == Label.REFUTED
