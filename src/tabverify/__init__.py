@@ -3,6 +3,8 @@ verification — corpus parsing, content-snapshot selection, unknown-label
 augmentation, score-level ensembling, rule-based evidence selection, and
 the matching evaluation protocols."""
 
+__version__ = "0.1.0"  # the one source of the version; pyproject.toml reads it
+
 from .corpus import (  # noqa: F401
     Label,
     Statement,
@@ -18,5 +20,3 @@ from .classify import lexical_baseline, read_scores, write_scores  # noqa: F401
 from .ensemble import TrainConfig, VoteLayer, assemble_features, forward, predict, train  # noqa: F401
 from .evidence import find_evidence  # noqa: F401
 from .scoring import score_2way, score_3way, score_task_a, score_task_b  # noqa: F401
-
-__version__ = "0.1.0"

@@ -17,20 +17,13 @@ import datetime
 import logging
 import os
 import sys
-from importlib import metadata
 from pathlib import Path
 
+from . import __version__
 from . import augment as augment_mod
 from . import classify, corpus, ensemble, evidence, scoring, snapshot, textnorm
 
 log = logging.getLogger("tabverify")
-
-
-def _tool_version():
-    try:
-        return metadata.version("tabverify")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _write_manifest(args, **resolved):
@@ -41,7 +34,7 @@ def _write_manifest(args, **resolved):
         "subcommand": args.command,
         "options": {**options, **resolved},
         "output": str(args.out),
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     corpus.write_json(manifest, str(args.out) + ".manifest.json")
@@ -185,10 +178,17 @@ def cmd_baseline(args):
 def cmd_ensemble_train(args):
     docs = corpus.read_corpus(args.corpus)
     scores, model_names = classify.read_scores(args.scores)
-    gold = {(doc.table_id, st.stmt_id): st.gold_label
-            for doc in docs for st in doc.statements if st.gold_label}
+    gold = {(doc.table_id, st.stmt_id): st.gold_label for doc in docs for st in doc.statements}
+    missing = next((key for key, label in gold.items() if label and key not in scores), None)
+    if missing:
+        raise ValueError(f"{', '.join(args.scores)}: no scores for labelled statement "
+                         f"({missing[0]}, {missing[1]})")
+    outside = sum(key not in gold for key in scores)
+    if outside:
+        log.warning("%s: ignored the scores of %d statement(s) not in %s",
+                    ", ".join(args.scores), outside, args.corpus)
     examples = [(ensemble.assemble_features(scores[key], model_names), gold[key])
-                for key in sorted(scores) if key in gold]
+                for key in sorted(gold) if gold[key]]
     config = ensemble.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                                   rng_seed=args.seed, l2=args.l2)
     layer, trace = ensemble.train(examples, config, model_names)
@@ -199,8 +199,11 @@ def cmd_ensemble_train(args):
 
 
 def cmd_predict(args):
-    scores, _ = classify.read_scores(args.scores)
+    scores, model_names = classify.read_scores(args.scores)
     layer = ensemble.VoteLayer.load(args.layer)
+    if set(layer.model_names) != set(model_names):
+        raise ValueError(f"{args.layer}: layer models {sorted(layer.model_names)} are not "
+                         f"the models {sorted(model_names)} of {', '.join(args.scores)}")
     records = []
     for (table_id, stmt_id), by_model in sorted(scores.items()):
         if args.majority:

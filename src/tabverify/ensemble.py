@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .classify import CLASS_ORDER
-from .corpus import BAD_INPUT, bad_input_reason, write_json
+from .corpus import BAD_INPUT, bad_input_reason, json_field, write_json
 
 N_CLASSES = 3
 
@@ -85,7 +85,7 @@ class VoteLayer:
         with open(path, "rb") as fh:
             try:
                 obj = json.load(fh)
-                return cls(tuple(obj["model_names"]),
+                return cls(tuple(json_field(obj, "model_names", list, str)),
                            np.asarray(obj["weights"], dtype=float),
                            np.asarray(obj["bias"], dtype=float))
             except BAD_INPUT as exc:

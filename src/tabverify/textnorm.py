@@ -8,7 +8,10 @@ The pipeline order is fixed: lowercase -> tokenize -> expand abbreviations
 process: its result depends only on its one string argument and the rule
 list fixed at import, and strings are immutable, so a cached result is the
 value a fresh call would return.  The cache grows with the distinct tokens
-seen (tens of thousands on large corpora).
+seen (tens of thousands on large corpora).  A cache miss tries only the
+rules whose suffix ends in the word's last letter, in file order: no other
+rule can match, so the first rule that does is the one a scan of the whole
+list would find.
 """
 
 from __future__ import annotations
@@ -43,11 +46,17 @@ def _load_stem_rules():
     rules = []
     for line in _load_lines("stem_rules.tsv"):
         suffix, repl, min_stem, flag = line.split("\t")
+        if not suffix:
+            raise ValueError(f"stem rule with an empty suffix: {line!r}")
         rules.append((suffix, repl, int(min_stem), flag == "fixup"))
     return tuple(rules)
 
 
 _STEM_RULES = _load_stem_rules()
+
+# Last letter -> the rules whose suffix ends in it, in file order.
+_RULES_BY_LAST = {last: tuple(rule for rule in _STEM_RULES if rule[0][-1] == last)
+                  for last in {rule[0][-1] for rule in _STEM_RULES}}
 
 
 def make_abbrev_table(pairs):
@@ -102,7 +111,7 @@ def _ends_cvc(word):
 
 
 def _stem_once(word):
-    for suffix, repl, min_stem, fixup in _STEM_RULES:
+    for suffix, repl, min_stem, fixup in _RULES_BY_LAST.get(word[-1:], ()):
         if not word.endswith(suffix):
             continue
         stem_len = len(word) - len(suffix)

@@ -13,6 +13,7 @@ from xml.sax.saxutils import quoteattr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tabverify
 from conftest import FIXTURES
 from tabverify import cli
 from tabverify.corpus import parse_xml, read_corpus
@@ -282,6 +283,10 @@ class TestJsonlBoundary:
         missing_model([*PREDICT, "--majority"]),
         missing_model(["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
                        "--out", "{w}/layer2.json"]),
+        ("scores.jsonl", 1, lambda line: "",
+         ["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
+          "--out", "{w}/layer2.json"],
+         "{w}/scores.jsonl: no scores for labelled statement (t1, s1)"),
     ], ids=["missing-snapshot", "missing-field", "invalid-json", "duplicate-prediction",
             "duplicate-snapshot", "duplicate-evidence", "duplicate-table",
             "grid-type", "header-rows-type", "statements-null", "corpus-line-not-object",
@@ -291,7 +296,7 @@ class TestJsonlBoundary:
             "score-evidence-shape", "duplicate-score-across-files", "header-rows-bool",
             "snapshot-row-bool", "scores-bool", "evidence-cell-bool",
             "score-missing-model", "score-missing-model-majority",
-            "score-missing-model-train"])
+            "score-missing-model-train", "train-unscored-statement"])
     def test_bad_record_reports_location(self, fixtures_dir, tmp_path, capsys,
                                          name, lineno, rewrite, argv, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -505,6 +510,20 @@ class TestManifest:
         assert set(parsed) <= set(options), set(parsed) - set(options)
         assert {k: options[k] for k in parsed if k not in RESOLVED} == \
             {k: v for k, v in parsed.items() if k not in RESOLVED}
+        assert manifest["tool_version"] == tabverify.__version__
+
+    def test_cli_import_does_not_load_package_metadata(self, fixtures_dir):
+        """The version comes from the package, so importing the CLI does not
+        load ``importlib.metadata`` (its import and distribution scan cost
+        every stage process tens of milliseconds)."""
+        code = ("import sys; before = 'importlib.metadata' in sys.modules; "
+                "import tabverify.cli; print(before, 'importlib.metadata' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(fixtures_dir.parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before, proc.stdout
 
 
 class TestFixtureScript:
@@ -524,6 +543,37 @@ class TestFixtureScript:
         for name in ["stats.json", "preds.jsonl", "evidence.jsonl", "report.json"]:
             assert ((workdir / name).read_bytes()
                     == (fixtures_dir / "expected" / name).read_bytes()), name
+
+
+class TestScoreCoverage:
+    """The score files must hold the models of the layer; scores of
+    statements outside the training corpus are ignored with a warning."""
+
+    @pytest.mark.parametrize("majority", [[], ["--majority"]], ids=["layer", "majority"])
+    def test_predict_models_differ_from_layer(self, pipeline_dir, tmp_path, capsys, majority):
+        other = tmp_path / "other.jsonl"
+        other.write_text((pipeline_dir / "scores.jsonl").read_text()
+                         .replace('"model": "lexical"', '"model": "other"'))
+        layer = pipeline_dir / "layer.json"
+        assert run(["predict", str(other), "--layer", str(layer),
+                    "--out", f"{tmp_path}/preds.jsonl", *majority]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {layer}: layer models ['lexical'] are not the models ['other'] "
+            f"of {other}\n")
+        assert not (tmp_path / "preds.jsonl").exists()
+
+    def test_train_ignores_statements_outside_corpus(self, pipeline_dir, tmp_path, caplog):
+        lines = (pipeline_dir / "scores.jsonl").read_text().splitlines()
+        extra = [json.dumps({**json.loads(lines[0]), "table_id": f"zz{i}"}) for i in range(2)]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("\n".join(lines + extra) + "\n")
+        corpus = f"{pipeline_dir}/corpus.jsonl"
+        assert run(["ensemble-train", str(scores), "--corpus", corpus,
+                    "--out", f"{tmp_path}/layer.json"]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            f"{scores}: ignored the scores of 2 statement(s) not in {corpus}"]
+        assert ((tmp_path / "layer.json").read_bytes()
+                == (pipeline_dir / "layer.json").read_bytes())
 
 
 class TestBadOptions:

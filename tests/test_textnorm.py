@@ -41,6 +41,55 @@ class TestNormalize:
             assert tok and tok == tok.lower()
 
 
+def reference_stem(word):
+    """The stemmer as the rule file states it: every pass scans all the
+    rules in file order and applies the first whose suffix matches with a
+    long enough stem, until the word no longer changes."""
+    while True:
+        out = word
+        for suffix, repl, min_stem, fixup in tn._STEM_RULES:
+            if word.endswith(suffix) and len(word) - len(suffix) >= min_stem:
+                out = word[:len(word) - len(suffix)] + repl
+                if fixup:
+                    if (len(out) >= 2 and out[-1] == out[-2]
+                            and out[-1] not in "aeiou" + "lsz"):
+                        out = out[:-1]
+                    elif (len(out) >= 3 and out[-3] not in "aeiou" and out[-2] in "aeiou"
+                          and out[-1] not in "aeiou" + "wxy"):
+                        out += "e"
+                break
+        if out == word:
+            return out
+        word = out
+
+
+SUFFIXES = sorted({rule[0] for rule in tn._STEM_RULES})
+
+
+class TestStem:
+    # Every suffix alone (too short a stem) and after "walk" (long enough),
+    # the empty string, one-letter words and digits.
+    @pytest.mark.parametrize("word", ["", *"abcdefghijklmnopqrstuvwxyz", *"0123456789",
+                                      "2s", "10ed", *SUFFIXES, *("walk" + s for s in SUFFIXES)])
+    def test_edge_words(self, word):
+        assert tn.stem.__wrapped__(word) == reference_stem(word)
+
+    # A stem of 0 to 5 letters, short enough to fall below a rule's minimum,
+    # with up to two rule suffixes (or any letters) after it.
+    @given(st.text("abcdeilnorstuyz", max_size=5),
+           st.lists(st.sampled_from(SUFFIXES) | st.text("adegilnorstyz0123", max_size=2),
+                    max_size=2))
+    def test_matches_a_scan_of_every_rule(self, stem, endings):
+        word = stem + "".join(endings)
+        assert tn.stem.__wrapped__(word) == reference_stem(word)
+        assert tn.stem(word) == reference_stem(word)
+
+    def test_empty_suffix_rejected(self, monkeypatch):
+        monkeypatch.setattr(tn, "_load_lines", lambda name: iter(["s\t\t3\t-", "\t\t3\t-"]))
+        with pytest.raises(ValueError, match="empty suffix"):
+            tn._load_stem_rules()
+
+
 class TestAbbrevTable:
     def test_cycle_rejected(self):
         with pytest.raises(tn.AbbrevError):
