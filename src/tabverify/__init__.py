@@ -19,4 +19,4 @@ from .augment import AugmentConfig, generate_unknown, merge_corpora  # noqa: F40
 from .classify import lexical_baseline, read_scores, write_scores  # noqa: F401
 from .ensemble import TrainConfig, VoteLayer, assemble_features, forward, predict, train  # noqa: F401
 from .evidence import find_evidence  # noqa: F401
-from .scoring import score_2way, score_3way, score_task_a, score_task_b  # noqa: F401
+from .scoring import score_task_a, score_task_b  # noqa: F401

@@ -34,6 +34,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not (0 < self.unknown_ratio <= 1):
             raise AugmentError(f"unknown_ratio must be in (0, 1], got {self.unknown_ratio}")
+        if not math.isfinite(self.guard_threshold):
+            raise AugmentError(f"guard_threshold must be finite, got {self.guard_threshold}")
 
 
 def merge_corpora(base, external):

@@ -143,7 +143,8 @@ def cmd_snapshot(args):
 
 def _snapshot_rows(obj):
     rows = tuple(corpus.json_field(obj, "rows", list, int))
-    corpus.json_field(obj, "k", int)  # always len(rows); checked, not used
+    if corpus.json_field(obj, "k", int) != len(rows):  # not used, but must agree
+        raise corpus.SchemaError(f"field 'k' is {obj['k']}, but 'rows' holds {len(rows)} rows")
     return rows
 
 
@@ -256,24 +257,31 @@ def cmd_evidence(args):
     return 0
 
 
+class _Evidence(dict):
+    """Evidence records kept as ``(runs, n_rows, n_cols)``; looking a record
+    up decodes it into its set of relevant cells."""
+
+    def __getitem__(self, key):
+        return evidence.rle_decode(*super().__getitem__(key))
+
+
 def _read_evidence(path, docs):
-    """Each record's set of relevant cells, decoded only once its claimed
-    shape is the shape of its corpus table; records of tables outside the
-    corpus map to None, undecoded."""
+    """Each record's checked runs and shape, decoded only when scored.  A
+    record's runs must cover its claimed grid, and a record of a corpus table
+    must claim that table's shape."""
     shapes = {doc.table_id: (doc.n_rows, doc.n_cols) for doc in docs}
 
-    def decode(obj):
+    def check(obj):
         runs = corpus.json_field(obj, "relevant_rle", list, int)
         shape = (corpus.json_field(obj, "n_rows", int), corpus.json_field(obj, "n_cols", int))
-        table = shapes.get(obj["table_id"])
-        if table is None:
-            return None
+        table = shapes.get(obj["table_id"], shape)
         if shape != table:
             raise ValueError(f"evidence grid for {(obj['table_id'], obj['stmt_id'])} is "
                              f"{shape[0]}x{shape[1]}, table is {table[0]}x{table[1]}")
-        return evidence.rle_decode(runs, *shape)
+        evidence.rle_check(runs, *shape)
+        return runs, *shape
 
-    return corpus.read_jsonl(path, decode, STATEMENT_KEY, ValueError)
+    return _Evidence(corpus.read_jsonl(path, check, STATEMENT_KEY, ValueError))
 
 
 def _score(path, scorer, *args):
@@ -285,6 +293,8 @@ def _score(path, scorer, *args):
 
 
 def cmd_score(args):
+    if not (args.preds or args.evidence):
+        raise ValueError("score requires --preds or --evidence")
     docs = corpus.read_corpus(args.corpus)
     average = "micro" if args.micro else "macro"
     report = {}

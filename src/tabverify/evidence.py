@@ -88,14 +88,19 @@ def rle_encode(cells, n_rows=None, n_cols=None):
     return runs
 
 
-def rle_decode(runs, n_rows, n_cols):
-    """The frozenset of relevant ``(row, col)`` cells that ``runs`` encode."""
-    # Check the runs before expanding them, so a huge run allocates nothing.
+def rle_check(runs, n_rows, n_cols):
+    """Raise ValueError unless ``runs`` are non-negative run lengths that
+    cover an ``n_rows`` x ``n_cols`` grid; expands nothing."""
     for count in runs:
         if count < 0:
             raise ValueError(f"negative run length {count}")
     if sum(runs) != n_rows * n_cols:
         raise ValueError(f"run lengths sum to {sum(runs)}, expected {n_rows * n_cols}")
+
+
+def rle_decode(runs, n_rows, n_cols):
+    """The frozenset of relevant ``(row, col)`` cells that ``runs`` encode."""
+    rle_check(runs, n_rows, n_cols)  # before expanding, so a huge run allocates nothing
     bounds = list(itertools.accumulate(runs, initial=0))
     # the relevant runs are the odd ones: run k spans bounds[k]..bounds[k + 1]
     return frozenset(divmod(i, n_cols) for a, b in zip(bounds[1::2], bounds[2::2])

@@ -1,7 +1,9 @@
-"""Shared-task scoring: 3-way F1, 2-way F1 with the unknown penalty, and
-cell-level Task B F1 against multi-version ground truth.  Task B
-predictions are sets of relevant (row, col) cells.  ``score_task_a`` and
-``score_task_b`` return the plain dicts that ``report.json`` holds.
+"""Shared-task scoring.  ``score_task_a`` scores Task A labels as 3-way F1
+and as 2-way F1 with the unknown penalty, macro- or micro-averaged over the
+classes, in one walk of the corpus.  ``score_task_b`` scores Task B
+predictions, sets of relevant (row, col) cells, as cell-level F1 against
+multi-version ground truth.  Both return the plain dicts that
+``report.json`` holds.
 
 All metrics average per table first, then across tables.  Zero-denominator
 convention: precision/recall/F1 are 0 when their denominator is 0 and the
@@ -27,11 +29,6 @@ def _prf(tp, fp, fn):
     return p, r, f1
 
 
-def _gold_pairs(doc):
-    return [(st.stmt_id, st.gold_label) for st in doc.statements
-            if st.gold_label is not None]
-
-
 def _require_pred(preds, table_id, stmt_id):
     key = (table_id, stmt_id)
     if key not in preds:
@@ -39,84 +36,55 @@ def _require_pred(preds, table_id, stmt_id):
     return preds[key]
 
 
-def _table_macro_f1(gold, pred, classes):
-    """Macro-F1 over the classes present in gold or predictions.
-
-    ``classes`` restricts the eligible label set; predictions outside it
-    (Unknown in 2-way mode) never count as positive predictions but still
-    leave their gold statement unmatched.
-    """
-    present = [c for c in classes
-               if any(g == c for g in gold) or any(p == c for p in pred)]
+def _table_f1(pairs, classes, average):
+    """One table's F1 over its (gold, predicted) ``pairs``: "macro" is the
+    mean F1 of the classes present in gold or predictions, in ``classes``
+    order, "micro" the F1 of their summed counts; 1.0 with no class present.
+    A prediction outside ``classes`` (Unknown in 2-way mode) is never a
+    positive prediction but still leaves its gold statement unmatched."""
+    counts = [(sum(g == c == p for g, p in pairs), sum(g != c == p for g, p in pairs),
+               sum(g == c != p for g, p in pairs)) for c in classes]
+    present = [n for n in counts if any(n)]  # (tp, fp, fn) of each class present
     if not present:
         return 1.0
-    f1s = []
-    for c in present:
-        tp = sum(1 for g, p in zip(gold, pred) if g == c and p == c)
-        fp = sum(1 for g, p in zip(gold, pred) if g != c and p == c)
-        fn = sum(1 for g, p in zip(gold, pred) if g == c and p != c)
-        f1s.append(_prf(tp, fp, fn)[2])
-    return sum(f1s) / len(f1s)
+    if average == "macro":
+        return sum(_prf(*n)[2] for n in present) / len(present)
+    return _prf(*map(sum, zip(*present)))[2]
 
 
-def _table_micro_f1(gold, pred, classes):
-    tp = sum(1 for g, p in zip(gold, pred) if g == p and g in classes)
-    fp = sum(1 for g, p in zip(gold, pred) if p in classes and g != p)
-    fn = sum(1 for g, p in zip(gold, pred) if g in classes and p != g)
-    return _prf(tp, fp, fn)[2]
-
-
-def score_3way(preds, gold_corpus, average="macro"):
-    """Per-table F1 over {Entailed, Refuted, Unknown}; returns
-    (per-table dict, overall mean, confusion counts)."""
-    scorer = _table_macro_f1 if average == "macro" else _table_micro_f1
-    per_table = {}
-    confusion = {}
-    for doc in gold_corpus:
-        pairs = _gold_pairs(doc)
-        if not pairs:
-            continue
-        gold = [label for _, label in pairs]
-        pred = [_require_pred(preds, doc.table_id, sid) for sid, _ in pairs]
-        for g, p in zip(gold, pred):
-            confusion[(g, p)] = confusion.get((g, p), 0) + 1
-        per_table[doc.table_id] = scorer(gold, pred, set(CLASS_ORDER))
-    overall = sum(per_table.values()) / len(per_table) if per_table else 0.0
-    return per_table, overall, confusion
-
-
-def score_2way(preds, gold_corpus, average="macro"):
-    """Gold-Unknown statements dropped; F1 over {Entailed, Refuted}.
-
-    Predicting Unknown on a kept statement is penalized: it is a false
-    negative for the gold class and a true positive for nothing.
-    """
-    scorer = _table_macro_f1 if average == "macro" else _table_micro_f1
-    two_way = {Label.ENTAILED, Label.REFUTED}
-    per_table = {}
-    for doc in gold_corpus:
-        pairs = [(sid, label) for sid, label in _gold_pairs(doc) if label in two_way]
-        if not pairs:
-            continue
-        gold = [label for _, label in pairs]
-        pred = [_require_pred(preds, doc.table_id, sid) for sid, _ in pairs]
-        per_table[doc.table_id] = scorer(gold, pred, two_way)
-    overall = sum(per_table.values()) / len(per_table) if per_table else 0.0
-    return per_table, overall
+def _mean(per_table):
+    return sum(per_table.values()) / len(per_table) if per_table else 0.0
 
 
 def score_task_a(preds, gold_corpus, average="macro"):
     """The ``task_a`` section of ``report.json``: per-table and overall
-    3-way and 2-way F1, and confusion counts keyed ``"gold->pred"``."""
-    per_table_3way, overall_3way, confusion = score_3way(preds, gold_corpus, average)
-    per_table_2way, overall_2way = score_2way(preds, gold_corpus, average)
-    return {
-        "overall_3way": overall_3way,
-        "overall_2way": overall_2way,
-        "per_table_3way": per_table_3way,
-        "per_table_2way": per_table_2way,
-        "confusion": {f"{g.value}->{p.value}": n for (g, p), n in confusion.items()},
-    }
+    3-way and 2-way F1, and confusion counts keyed ``"gold->pred"``.
+
+    3-way F1 is over {Entailed, Refuted, Unknown}.  2-way F1 drops the
+    gold-Unknown statements and is over {Entailed, Refuted}: predicting
+    Unknown on a kept statement is a false negative for the gold class and
+    a true positive for nothing.
+    """
+    # A set: its order is the order the per-class F1s are summed in, so the
+    # last digit of a 3-way score can depend on the hash seed.  A fixed
+    # order changes report bytes and waits for a benchmark change.
+    three_way, two_way = set(CLASS_ORDER), (Label.ENTAILED, Label.REFUTED)
+    per_table_3way, per_table_2way, confusion = {}, {}, {}
+    for doc in gold_corpus:
+        pairs = [(st.gold_label, _require_pred(preds, doc.table_id, st.stmt_id))
+                 for st in doc.statements if st.gold_label is not None]
+        if not pairs:
+            continue
+        for g, p in pairs:
+            key = f"{g.value}->{p.value}"
+            confusion[key] = confusion.get(key, 0) + 1
+        per_table_3way[doc.table_id] = _table_f1(pairs, three_way, average)
+        kept = [(g, p) for g, p in pairs if g in two_way]
+        if kept:
+            per_table_2way[doc.table_id] = _table_f1(kept, two_way, average)
+    return {"overall_3way": _mean(per_table_3way), "overall_2way": _mean(per_table_2way),
+            "per_table_3way": per_table_3way, "per_table_2way": per_table_2way,
+            "confusion": confusion}
 
 
 def _cell_prf(pred_set, gold_set):
@@ -143,10 +111,9 @@ def score_task_b(pred_maps, gold_corpus):
             key = (doc.table_id, st.stmt_id)
             if key not in pred_maps:
                 raise ScoringError(f"missing evidence prediction for {key}")
-            best = max(
-                (_cell_prf(pred_maps[key], cells) for cells in st.gold_evidence),
-                key=lambda prf: prf[2],
-            )
+            pred = pred_maps[key]
+            best = max((_cell_prf(pred, cells) for cells in st.gold_evidence),
+                       key=lambda prf: prf[2])
             name = f"{doc.table_id}/{st.stmt_id}"
             if name in per_statement:
                 raise ScoringError(f"statement {key} and an earlier one share the key {name!r}")
@@ -154,5 +121,5 @@ def score_task_b(pred_maps, gold_corpus):
             stmt_scores.append(best[2])
         if stmt_scores:
             per_table[doc.table_id] = sum(stmt_scores) / len(stmt_scores)
-    overall = sum(per_table.values()) / len(per_table) if per_table else 0.0
-    return {"overall": overall, "per_table": per_table, "per_statement": per_statement}
+    return {"overall": _mean(per_table), "per_table": per_table,
+            "per_statement": per_statement}

@@ -78,29 +78,32 @@ def make_abbrev_table(pairs):
     return table
 
 
+def _read_abbrevs(lines):
+    """The abbreviation table of ``lines``, in ``load_abbrev_file``'s format."""
+    pairs = []
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, tab, full = line.partition("\t")
+        if not tab:
+            raise AbbrevError(f"expected 'abbrev<TAB>full form', got {line!r}")
+        pairs.append((key.strip(), full.strip()))
+    return make_abbrev_table(pairs)
+
+
 def load_abbrev_file(path):
     """Read an abbreviation table: one ``abbrev<TAB>full form`` per line,
     ``#`` comments and blank lines ignored."""
-    pairs = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, full = line.partition("\t")
-            if not full:
-                raise AbbrevError(f"expected 'abbrev<TAB>full form', got {line!r}")
-            pairs.append((key.strip(), full.strip()))
-    return make_abbrev_table(pairs)
+        return _read_abbrevs(fh)
 
 
 def default_abbrevs():
     """The abbreviation table shipped with the package."""
-    pairs = []
-    for line in _load_lines("abbreviations.tsv"):
-        key, _, full = line.partition("\t")
-        pairs.append((key, full))
-    return make_abbrev_table(pairs)
+    with resources.files("tabverify.data").joinpath("abbreviations.tsv").open(
+            encoding="utf-8") as fh:
+        return _read_abbrevs(fh)
 
 
 def _ends_cvc(word):

@@ -153,10 +153,9 @@ def test_scorer_oracle_equivalence_500():
             spec_pred.append((f"t{t}", [rng.choice([E, R, U]) for _ in range(n)]))
         gold = corpus_from_labels(spec_gold)
         preds = preds_from(spec_pred)
-        _, three, _ = scoring.score_3way(preds, gold)
-        _, two = scoring.score_2way(preds, gold)
-        assert abs(three - naive_task_a(preds, gold, {E, R, U})) < 1e-12
-        assert abs(two - naive_task_a(preds, gold, {E, R})) < 1e-12
+        task_a = scoring.score_task_a(preds, gold)
+        assert abs(task_a["overall_3way"] - naive_task_a(preds, gold, {E, R, U})) < 1e-12
+        assert abs(task_a["overall_2way"] - naive_task_a(preds, gold, {E, R})) < 1e-12
     # task B randomized equivalence
     for _ in range(500):
         docs, pred_sets = [], {}
@@ -176,10 +175,10 @@ def test_scorer_oracle_equivalence_500():
                    - naive_task_b(pred_sets, docs)) < 1e-12
     # the hand-computed examples reproduce exactly
     gold = corpus_from_labels([("t1", [E, E, R, U])])
-    _, three, _ = scoring.score_3way(preds_from([("t1", [E, R, R, U])]), gold)
+    three = scoring.score_task_a(preds_from([("t1", [E, R, R, U])]), gold)["overall_3way"]
     assert three == pytest.approx(7 / 9, abs=1e-12)
     gold = corpus_from_labels([("t1", [E, E, R])])
-    _, two = scoring.score_2way(preds_from([("t1", [E, U, R])]), gold)
+    two = scoring.score_task_a(preds_from([("t1", [E, U, R])]), gold)["overall_2way"]
     assert two == pytest.approx(5 / 6, abs=1e-12)
     doc = make_table([["h", "h"], ["a", "b"]], table_id="t1", statements=[
         make_statement("s0", "x", E, [{(0, 0), (0, 1)}])])

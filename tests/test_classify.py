@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from tabverify import classify
+from tabverify import classify, textnorm
 from tabverify.corpus import Label
 from tabverify.textnorm import TableView
 from conftest import make_statement, make_table
@@ -32,6 +32,16 @@ class TestLexicalBaseline:
         stmt = make_statement("s", "alpha beta not")
         scores = classify.lexical_baseline(stmt, TableView(table), body_rows(table))
         assert scores[1] > scores[0]
+
+    @pytest.mark.xfail(strict=True, reason="the default abbreviations expand the negation "
+                       "cue 'no' to 'number' before the baseline looks for it; the fix "
+                       "changes score bytes, so it waits for a benchmark change")
+    def test_no_is_a_negation_cue_with_default_abbrevs(self):
+        table = make_table([["h"], ["alpha beta"]])
+        stmt = make_statement("s", "alpha beta no")
+        view = TableView(table, textnorm.default_abbrevs())
+        scores = classify.lexical_baseline(stmt, view, body_rows(table))
+        assert scores[1] > 0
 
     def test_empty_statement_scores(self):
         table = make_table([["h"], ["a"]])

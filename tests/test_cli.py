@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import tabverify
 from conftest import FIXTURES
-from tabverify import cli
+from tabverify import cli, evidence
 from tabverify.corpus import parse_xml, read_corpus
 
 
@@ -106,8 +106,13 @@ class TestParse:
 class TestEndToEnd:
     def test_smoke_reproduces_frozen_reports(self, fixtures_dir, tmp_path):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
+        w = str(tmp_path)
+        assert run(["score", "--corpus", f"{w}/corpus.jsonl", "--preds", f"{w}/preds.jsonl",
+                    "--evidence", f"{w}/evidence.jsonl", "--micro",
+                    "--out", f"{w}/report_micro.json"]) == 0
         expected = fixtures_dir / "expected"
-        for name in ["stats.json", "preds.jsonl", "evidence.jsonl", "report.json"]:
+        for name in ["stats.json", "preds.jsonl", "evidence.jsonl", "report.json",
+                     "report_micro.json"]:
             assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
 
     def test_evidence_trace_reproduces_frozen_file(self, pipeline_dir, fixtures_dir, tmp_path):
@@ -161,6 +166,12 @@ class TestEndToEnd:
             "error: evidence requires a predictions file or --use-gold-taskA\n")
         assert not (tmp_path / "e.jsonl").exists()
 
+    def test_score_without_inputs(self, pipeline_dir, tmp_path, capsys):
+        assert run(["score", "--corpus", f"{pipeline_dir}/corpus.jsonl",
+                    "--out", f"{tmp_path}/report.json"]) == 2
+        assert capsys.readouterr().err == "error: score requires --preds or --evidence\n"
+        assert not list(tmp_path.iterdir())
+
     def test_evidence_with_gold_labels(self, fixtures_dir, tmp_path):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
         w = str(tmp_path)
@@ -208,7 +219,9 @@ def set_first_evidence(cells):
 
 
 def not_body_rows(rows):
-    return ("snapshots.jsonl", 1, set_field("rows", rows), BASELINE,
+    """Snapshot line 1 selecting ``rows``, with ``k`` kept at their count."""
+    return ("snapshots.jsonl", 1,
+            lambda line: set_field("k", len(rows))(set_field("rows", rows)(line)), BASELINE,
             f"{{w}}/snapshots.jsonl: snapshot rows {rows} for table 't1' statement 's1' "
             "are not body rows")
 
@@ -287,6 +300,12 @@ class TestJsonlBoundary:
          ["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
           "--out", "{w}/layer2.json"],
          "{w}/scores.jsonl: no scores for labelled statement (t1, s1)"),
+        ("snapshots.jsonl", 1, set_field("k", 99), BASELINE,
+         "{w}/snapshots.jsonl:1: field 'k' is 99, but 'rows' holds 3 rows"),
+        ("evidence.jsonl", 1, set_field("relevant_rle", [1]), SCORE_EVIDENCE,
+         "{w}/evidence.jsonl:1: run lengths sum to 1, expected 12"),
+        ("evidence.jsonl", 1, set_field("relevant_rle", [13, -1]), SCORE_EVIDENCE,
+         "{w}/evidence.jsonl:1: negative run length -1"),
     ], ids=["missing-snapshot", "missing-field", "invalid-json", "duplicate-prediction",
             "duplicate-snapshot", "duplicate-evidence", "duplicate-table",
             "grid-type", "header-rows-type", "statements-null", "corpus-line-not-object",
@@ -296,7 +315,8 @@ class TestJsonlBoundary:
             "score-evidence-shape", "duplicate-score-across-files", "header-rows-bool",
             "snapshot-row-bool", "scores-bool", "evidence-cell-bool",
             "score-missing-model", "score-missing-model-majority",
-            "score-missing-model-train", "train-unscored-statement"])
+            "score-missing-model-train", "train-unscored-statement", "snapshot-k-not-row-count",
+            "evidence-runs-short", "evidence-run-negative"])
     def test_bad_record_reports_location(self, fixtures_dir, tmp_path, capsys,
                                          name, lineno, rewrite, argv, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -434,6 +454,23 @@ class TestEvidenceShape:
             tracemalloc.stop()
         assert capsys.readouterr().err == message.format(e=path)
         assert peak < 1_000_000, peak
+
+    def test_only_scored_records_are_decoded(self, pipeline_dir, tmp_path, monkeypatch):
+        """`score` decodes an evidence record when Task B scores its
+        statement, once, and never the records of unscored statements (gold
+        Unknown, no gold evidence, table outside the corpus)."""
+        lines = (pipeline_dir / "evidence.jsonl").read_text().splitlines()
+        outside = json.dumps({**json.loads(lines[0]), "table_id": "not-in-corpus"})
+        path = tmp_path / "evidence.jsonl"
+        path.write_text("\n".join(lines + [outside]) + "\n")
+        decode, decoded = evidence.rle_decode, []
+        monkeypatch.setattr(evidence, "rle_decode",
+                            lambda *args: decoded.append(args) or decode(*args))
+        assert run(["score", "--corpus", f"{pipeline_dir}/corpus.jsonl",
+                    "--evidence", str(path), "--out", f"{tmp_path}/report.json"]) == 0
+        scored = json.loads((tmp_path / "report.json").read_text())["task_b"]["per_statement"]
+        assert len(lines) + 1 > len(scored) > 0
+        assert len(decoded) == len(scored)
 
 
 XML_ATTRIBUTE = re.compile(r'(\w+)="[^"]*"')
@@ -588,6 +625,15 @@ class TestBadOptions:
                     "--corpus", f"{pipeline_dir}/corpus.jsonl",
                     "--out", f"{tmp_path}/layer.json", *option]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_augment_guard_threshold_not_finite(self, pipeline_dir, tmp_path, capsys,
+                                                threshold):
+        assert run(["augment", f"{pipeline_dir}/corpus.jsonl", f"{tmp_path}/augmented.jsonl",
+                    "--seed", "7", f"--guard-threshold={threshold}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: guard_threshold must be finite, got {float(threshold)}\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("rows", ["0", "-5"])
     def test_snapshot_rows_r_not_replaced(self, pipeline_dir, tmp_path, capsys, rows):

@@ -52,6 +52,30 @@ def naive_task_a(preds, gold_corpus, classes):
     return sum(table_scores) / len(table_scores) if table_scores else 0.0
 
 
+def naive_task_a_micro(preds, gold_corpus, classes):
+    """Independent per-table micro scorer: one F1 of the true positives,
+    false positives and false negatives pooled over ``classes``."""
+    table_scores = []
+    for doc in gold_corpus:
+        pairs = [(st.gold_label, preds[(doc.table_id, st.stmt_id)]) for st in doc.statements
+                 if st.gold_label is not None and st.gold_label in classes]
+        if not pairs:
+            continue
+        tp = sum(1 for g, p in pairs if g == p)
+        fp = sum(1 for g, p in pairs if p != g and p in classes)
+        fn = sum(1 for g, p in pairs if p != g)
+        table_scores.append(naive_prf(tp, fp, fn))
+    return sum(table_scores) / len(table_scores) if table_scores else 0.0
+
+
+def three_way(preds, gold, average="macro"):
+    return scoring.score_task_a(preds, gold, average)["overall_3way"]
+
+
+def two_way(preds, gold, average="macro"):
+    return scoring.score_task_a(preds, gold, average)["overall_2way"]
+
+
 def naive_task_b(pred_sets, gold_corpus):
     table_scores = []
     for doc in gold_corpus:
@@ -74,51 +98,45 @@ def naive_task_b(pred_sets, gold_corpus):
 class TestScore3Way:
     def test_all_correct(self):
         spec = [("t1", [E, R, U]), ("t2", [E, E])]
-        _, overall, _ = scoring.score_3way(preds_from(spec), corpus_from_labels(spec))
-        assert overall == 1.0
+        assert three_way(preds_from(spec), corpus_from_labels(spec)) == 1.0
 
     def test_all_wrong(self):
         gold = [("t1", [E, E, R])]
         preds = preds_from([("t1", [R, R, E])])
-        _, overall, _ = scoring.score_3way(preds, corpus_from_labels(gold))
-        assert overall == 0.0
+        assert three_way(preds, corpus_from_labels(gold)) == 0.0
 
     def test_hand_computed_seven_ninths(self):
         gold = [("t1", [E, E, R, U])]
         preds = preds_from([("t1", [E, R, R, U])])
-        per_table, overall, confusion = scoring.score_3way(preds, corpus_from_labels(gold))
-        assert overall == pytest.approx(7 / 9, abs=1e-12)
-        assert confusion[(E, R)] == 1
+        report = scoring.score_task_a(preds, corpus_from_labels(gold))
+        assert report["overall_3way"] == pytest.approx(7 / 9, abs=1e-12)
+        assert report["confusion"]["entailed->refuted"] == 1
 
     def test_missing_prediction_named(self):
         gold = corpus_from_labels([("t1", [E])])
         with pytest.raises(scoring.ScoringError, match="s0"):
-            scoring.score_3way({}, gold)
+            scoring.score_task_a({}, gold)
 
 
 class TestScore2Way:
     def test_perfect(self):
         spec = [("t1", [E, R])]
-        _, overall = scoring.score_2way(preds_from(spec), corpus_from_labels(spec))
-        assert overall == 1.0
+        assert two_way(preds_from(spec), corpus_from_labels(spec)) == 1.0
 
     def test_all_unknown_predictions_penalized(self):
         gold = [("t1", [E, R])]
         preds = preds_from([("t1", [U, U])])
-        _, overall = scoring.score_2way(preds, corpus_from_labels(gold))
-        assert overall == 0.0
+        assert two_way(preds, corpus_from_labels(gold)) == 0.0
 
     def test_hand_computed_five_sixths(self):
         gold = [("t1", [E, E, R])]
         preds = preds_from([("t1", [E, U, R])])
-        _, overall = scoring.score_2way(preds, corpus_from_labels(gold))
-        assert overall == pytest.approx(5 / 6, abs=1e-12)
+        assert two_way(preds, corpus_from_labels(gold)) == pytest.approx(5 / 6, abs=1e-12)
 
     def test_gold_unknown_dropped(self):
         gold = [("t1", [E, U, U])]
         preds = preds_from([("t1", [E, R, E])])  # wrong on dropped statements
-        _, overall = scoring.score_2way(preds, corpus_from_labels(gold))
-        assert overall == 1.0
+        assert two_way(preds, corpus_from_labels(gold)) == 1.0
 
     def test_agrees_with_3way_without_unknowns(self):
         rng = random.Random(4)
@@ -130,9 +148,8 @@ class TestScore2Way:
                 spec_pred.append((f"t{t}", [rng.choice([E, R]) for _ in range(n)]))
             gold = corpus_from_labels(spec_gold)
             preds = preds_from(spec_pred)
-            _, two = scoring.score_2way(preds, gold)
-            _, three, _ = scoring.score_3way(preds, gold)
-            assert two == pytest.approx(three, abs=1e-12)
+            report = scoring.score_task_a(preds, gold)
+            assert report["overall_2way"] == pytest.approx(report["overall_3way"], abs=1e-12)
 
 
 class TestScoreTaskB:
@@ -195,17 +212,25 @@ class TestRandomizedOracle:
         rng = random.Random(13)
         for _ in range(200):
             gold, preds = self.random_corpus(rng)
-            _, overall, _ = scoring.score_3way(preds, gold)
-            assert overall == pytest.approx(
+            assert three_way(preds, gold) == pytest.approx(
                 naive_task_a(preds, gold, {E, R, U}), abs=1e-12)
 
     def test_2way_matches_naive(self):
         rng = random.Random(14)
         for _ in range(200):
             gold, preds = self.random_corpus(rng)
-            _, overall = scoring.score_2way(preds, gold)
-            assert overall == pytest.approx(
+            assert two_way(preds, gold) == pytest.approx(
                 naive_task_a(preds, gold, {E, R}), abs=1e-12)
+
+    def test_micro_matches_naive(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            gold, preds = self.random_corpus(rng)
+            report = scoring.score_task_a(preds, gold, "micro")
+            assert report["overall_3way"] == pytest.approx(
+                naive_task_a_micro(preds, gold, {E, R, U}), abs=1e-12)
+            assert report["overall_2way"] == pytest.approx(
+                naive_task_a_micro(preds, gold, {E, R}), abs=1e-12)
 
     def test_taskb_matches_naive(self):
         rng = random.Random(15)
@@ -233,16 +258,14 @@ class TestRandomizedOracle:
     def test_permutation_invariance(self):
         rng = random.Random(16)
         gold, preds = self.random_corpus(rng)
-        _, overall, _ = scoring.score_3way(preds, gold)
         shuffled = list(gold)
         rng.shuffle(shuffled)
-        _, overall2, _ = scoring.score_3way(preds, shuffled)
-        assert overall == pytest.approx(overall2, abs=1e-12)
+        assert three_way(preds, gold) == pytest.approx(three_way(preds, shuffled), abs=1e-12)
 
     def test_scores_in_unit_interval(self):
         rng = random.Random(17)
         for _ in range(50):
             gold, preds = self.random_corpus(rng)
-            per_table, overall, _ = scoring.score_3way(preds, gold)
-            assert 0 <= overall <= 1
-            assert all(0 <= v <= 1 for v in per_table.values())
+            report = scoring.score_task_a(preds, gold)
+            assert 0 <= report["overall_3way"] <= 1
+            assert all(0 <= v <= 1 for v in report["per_table_3way"].values())

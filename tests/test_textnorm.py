@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -110,6 +112,22 @@ class TestAbbrevTable:
         path.write_text("justoneword\n", "utf-8")
         with pytest.raises(tn.AbbrevError):
             tn.load_abbrev_file(path)
+
+    @pytest.mark.parametrize("line", ["no number", "\tnumber", "no\t "])
+    def test_line_without_tab_and_full_form_rejected(self, tmp_path, line):
+        path = tmp_path / "abbrevs.tsv"
+        path.write_text(f"avg\taverage\n{line}\n", "utf-8")
+        with pytest.raises(tn.AbbrevError, match="expected 'abbrev<TAB>full form'"):
+            tn.load_abbrev_file(path)
+
+    def test_blank_lines_comments_and_padding(self, tmp_path):
+        path = tmp_path / "abbrevs.tsv"
+        path.write_text("\n   \n  # comment\n avg \t average \r\n", "utf-8")
+        assert tn.load_abbrev_file(path) == {"avg": ("average",)}
+
+    def test_shipped_table_through_file_reader(self):
+        shipped = pathlib.Path(tn.__file__).parent / "data" / "abbreviations.tsv"
+        assert tn.load_abbrev_file(shipped) == tn.default_abbrevs()
 
     def test_default_table_loads(self):
         table = tn.default_abbrevs()
