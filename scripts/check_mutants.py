@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Mutation check of the tier-1 tests: apply each mutant below to a fresh
+copy of the repository, run the tier-1 tests there with ``-x``, and report
+the mutants that no test kills.  Exits 1 when a survivor has no recorded
+reason, or when a mutant's text no longer occurs exactly once in its file.
+
+    python3 scripts/check_mutants.py
+
+A mutant costs one run of the suite at most: about 20 s on 2 cores, and
+about 6 min for the whole list.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# (file, text, replacement, why a survivor is accepted or None).  Each one
+# changes a rule the paper or the README states, unless its reason says
+# it is equivalent.
+MUTANTS = [
+    ("src/tabverify/augment.py", "leak <= config.guard_threshold",
+     "leak < config.guard_threshold", None),
+    ("src/tabverify/augment.py", "MAX_REDRAWS = 10", "MAX_REDRAWS = 9", None),
+    ("src/tabverify/augment.py", "math.floor(s * config.unknown_ratio)",
+     "math.ceil(s * config.unknown_ratio)", None),
+    ("src/tabverify/textnorm.py", "        tokens = expanded\n",
+     "        tokens = [t for tok in expanded for t in abbrevs.get(tok, (tok,))]\n", None),
+    ("src/tabverify/snapshot.py", "counts[(len(counts) - 1) // 2]",
+     "counts[len(counts) // 2]", None),
+    ("src/tabverify/snapshot.py", "if len(body) <= r_rows:", "if len(body) < r_rows:",
+     "equivalent: ranking a body of exactly r_rows rows keeps every row"),
+    ("src/tabverify/snapshot.py", "for idx in body)", "for idx in reversed(body))",
+     "equivalent: the sort key (-overlap, row) is unique, so input order is lost"),
+    ("src/tabverify/snapshot.py", "(-textnorm.overlap_rate(", "(textnorm.overlap_rate(", None),
+    ("src/tabverify/classify.py", "NEGATION_FACTOR = 2.0", "NEGATION_FACTOR = 1.0", None),
+    ("src/tabverify/ensemble.py", "bias = bias - config.learning_rate * grad_b",
+     "bias = bias", None),
+    ("src/tabverify/evidence.py", "if taska_label == Label.ENTAILED:", "if False:", None),
+    ("src/tabverify/evidence.py", "for c in header_cols for r in body)",
+     "for c in header_cols for r in range(n_rows))", None),
+    ("src/tabverify/evidence.py", "for r in label_rows for c in range(n_cols))",
+     "for r in label_rows for c in range(1, n_cols))", None),
+    ("src/tabverify/evidence.py", "label_rows = {r for r, c in cells if c == 0 and",
+     "label_rows = {r for r, c in cells if c <= 1 and", None),
+    ("src/tabverify/ensemble.py", "    return winners[0]", "    return winners[-1]", None),
+    ("src/tabverify/scoring.py", "key=lambda prf: prf[2])", "key=lambda prf: prf[0])", None),
+    ("src/tabverify/scoring.py", "if g in two_way]", "]", None),
+    ("src/tabverify/scoring.py", "sum(stmt_scores) / len(stmt_scores)", "max(stmt_scores)", None),
+]
+
+
+def run_mutant(path, text, replacement):
+    """True when the tier-1 tests fail on a copy of the repository with
+    ``text`` in ``path`` replaced by ``replacement``."""
+    with tempfile.TemporaryDirectory(prefix="tabverify-mutant-") as tmp:
+        copy = pathlib.Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_work"))
+        target = copy / path
+        target.write_text(target.read_text("utf-8").replace(text, replacement), "utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=900)
+        return proc.returncode != 0
+
+
+def main():
+    unexplained = 0
+    for path, text, replacement, reason in MUTANTS:
+        count = (ROOT / path).read_text("utf-8").count(text)
+        if count != 1:
+            print(f"STALE    {path}: {text!r} occurs {count} times", flush=True)
+            unexplained += 1
+            continue
+        if run_mutant(path, text, replacement):
+            print(f"killed   {path}: {text!r} -> {replacement!r}", flush=True)
+        elif reason:
+            print(f"survived {path}: {text!r} -> {replacement!r} ({reason})", flush=True)
+        else:
+            print(f"SURVIVED {path}: {text!r} -> {replacement!r}", flush=True)
+            unexplained += 1
+    print(f"{len(MUTANTS)} mutants, {unexplained} without a kill or a recorded reason")
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -190,8 +190,7 @@ def cmd_ensemble_train(args):
                     ", ".join(args.scores), outside, args.corpus)
     examples = [(ensemble.assemble_features(scores[key], model_names), gold[key])
                 for key in sorted(gold) if gold[key]]
-    config = ensemble.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                                  rng_seed=args.seed, l2=args.l2)
+    config = ensemble.TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
     layer, trace = ensemble.train(examples, config, model_names)
     layer.save(args.out, config)
     log.info("trained on %d examples; final loss %.6f", len(examples), trace[-1])
@@ -364,7 +363,6 @@ def build_parser():
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_ensemble_train)
 
     p = sub.add_parser("predict", help="predict labels from score files")

@@ -25,8 +25,10 @@ rectangular.  All types are immutable after construction.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
+import os
 import re
 import reprlib
 import xml.etree.ElementTree as ET
@@ -159,9 +161,7 @@ def _elem_text(parent, tag):
 
 
 def parse_xml(data):
-    """Parse one XML table document into a TableDocument."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    """Parse one XML table document, bytes or str, into a TableDocument."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -255,16 +255,29 @@ def _jsonl_line(obj):
     return (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _write_atomic(chunks, path):
+    """Write the byte strings ``chunks`` to a temporary file beside ``path``
+    and rename it to ``path``: a write that fails leaves ``path`` as it was
+    and removes the temporary file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_jsonl(records, path):
     """Write each record as one JSON line: keys sorted, text as UTF-8."""
-    with open(path, "wb") as fh:
-        fh.writelines(map(_jsonl_line, records))
+    _write_atomic(map(_jsonl_line, records), path)
 
 
 def write_json(obj, path):
     """Write one indented JSON document with sorted keys."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_atomic([(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")], path)
 
 
 def _statement_to_json(st):

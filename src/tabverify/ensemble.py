@@ -46,7 +46,7 @@ class TrainConfig:
             raise EnsembleError("l2 must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoteLayer:
     model_names: tuple
     weights: np.ndarray  # (3, 3*M)
@@ -63,13 +63,6 @@ class VoteLayer:
             raise EnsembleError(f"bias must have shape (3,), got {self.bias.shape}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise EnsembleError("non-finite layer parameters")
-
-    def __eq__(self, other):
-        if not isinstance(other, VoteLayer):
-            return NotImplemented
-        return (self.model_names == other.model_names
-                and np.array_equal(self.weights, other.weights)
-                and np.array_equal(self.bias, other.bias))
 
     def save(self, path, config=None):
         obj = {

@@ -5,9 +5,10 @@ predictions, sets of relevant (row, col) cells, as cell-level F1 against
 multi-version ground truth.  Both return the plain dicts that
 ``report.json`` holds.
 
-All metrics average per table first, then across tables.  Zero-denominator
-convention: precision/recall/F1 are 0 when their denominator is 0 and the
-other side is non-empty, 1 when both prediction and gold are empty.
+All metrics average per table first, then across tables.  Precision,
+recall and F1 are 0 when their denominator is 0.  No score is taken with
+both sides empty: a table's F1 is over the classes present in its gold or
+predicted labels, and every gold evidence version holds a cell.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ class ScoringError(ValueError):
 
 
 def _prf(tp, fp, fn):
-    if tp == 0 and fp == 0 and fn == 0:
-        return 1.0, 1.0, 1.0
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
@@ -37,16 +36,15 @@ def _require_pred(preds, table_id, stmt_id):
 
 
 def _table_f1(pairs, classes, average):
-    """One table's F1 over its (gold, predicted) ``pairs``: "macro" is the
-    mean F1 of the classes present in gold or predictions, in ``classes``
-    order, "micro" the F1 of their summed counts; 1.0 with no class present.
-    A prediction outside ``classes`` (Unknown in 2-way mode) is never a
-    positive prediction but still leaves its gold statement unmatched."""
+    """One table's F1 over its (gold, predicted) ``pairs``, which are not
+    empty and whose gold labels are all in ``classes``: "macro" is the mean
+    F1 of the classes present in gold or predictions, in ``classes`` order,
+    "micro" the F1 of their summed counts.  A prediction outside ``classes``
+    (Unknown in 2-way mode) is never a positive prediction but still leaves
+    its gold statement unmatched."""
     counts = [(sum(g == c == p for g, p in pairs), sum(g != c == p for g, p in pairs),
                sum(g == c != p for g, p in pairs)) for c in classes]
     present = [n for n in counts if any(n)]  # (tp, fp, fn) of each class present
-    if not present:
-        return 1.0
     if average == "macro":
         return sum(_prf(*n)[2] for n in present) / len(present)
     return _prf(*map(sum, zip(*present)))[2]

@@ -78,32 +78,30 @@ def make_abbrev_table(pairs):
     return table
 
 
-def _read_abbrevs(lines):
-    """The abbreviation table of ``lines``, in ``load_abbrev_file``'s format."""
-    pairs = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, tab, full = line.partition("\t")
-        if not tab:
-            raise AbbrevError(f"expected 'abbrev<TAB>full form', got {line!r}")
-        pairs.append((key.strip(), full.strip()))
-    return make_abbrev_table(pairs)
-
-
 def load_abbrev_file(path):
     """Read an abbreviation table: one ``abbrev<TAB>full form`` per line,
-    ``#`` comments and blank lines ignored."""
+    ``#`` comments and blank lines ignored.  A bad line is an AbbrevError
+    ``"path:line: reason"``."""
+    table = {}
     with open(path, encoding="utf-8") as fh:
-        return _read_abbrevs(fh)
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, tab, full = line.partition("\t")
+            try:
+                if not tab:
+                    raise AbbrevError(f"expected 'abbrev<TAB>full form', got {line!r}")
+                table.update(make_abbrev_table([(key.strip(), full.strip())]))
+            except AbbrevError as exc:
+                raise AbbrevError(f"{path}:{lineno}: {exc}") from None
+    return table
 
 
 def default_abbrevs():
     """The abbreviation table shipped with the package."""
-    with resources.files("tabverify.data").joinpath("abbreviations.tsv").open(
-            encoding="utf-8") as fh:
-        return _read_abbrevs(fh)
+    with resources.as_file(resources.files("tabverify.data") / "abbreviations.tsv") as path:
+        return load_abbrev_file(path)
 
 
 def _ends_cvc(word):
@@ -184,20 +182,19 @@ class TableView:
     A view is built with the abbreviation table its text is normalized
     with and carries it as ``abbrevs``; it is the one table input of the
     per-table rules (``snapshot.select_snapshot``,
-    ``classify.lexical_baseline``, ``evidence.find_evidence``).  Attributes
-    the view does not define read through to the table.  The sets and lists
-    it returns are shared by every caller and must not be mutated.
+    ``classify.lexical_baseline``, ``evidence.find_evidence``).  It also
+    holds the table's ``n_rows``, ``n_cols``, ``header_rows`` and
+    ``body_row_indices``, the shape the rules read.  The sets and lists it
+    returns are shared by every caller and must not be mutated.
     """
 
     def __init__(self, table, abbrevs=None):
         self.table = table
         self.abbrevs = abbrevs
+        self.n_rows, self.n_cols = table.n_rows, table.n_cols
+        self.header_rows = table.header_rows
+        self.body_row_indices = table.body_row_indices
         self._row_grams = {}
-
-    def __getattr__(self, name):
-        if name == "table":  # not yet set, e.g. while copying
-            raise AttributeError(name)
-        return getattr(self.table, name)
 
     def row_grams(self, row_index, n_values):
         """The n-gram set of one grid row's text (its cells joined by

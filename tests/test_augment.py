@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tabverify import corpus as cp
-from tabverify.augment import AugmentConfig, AugmentError, generate_unknown, merge_corpora
+from tabverify.augment import (AugmentConfig, AugmentError, _donor_draws, generate_unknown,
+                               merge_corpora)
 from conftest import make_statement, make_table
 
 
@@ -35,6 +37,29 @@ class TestMergeCorpora:
         ext = corpus_of([("a", ["y"])])
         with pytest.raises(AugmentError, match="ext:a"):
             merge_corpora(base, ext)
+
+
+def reference_draws(seed, pool_size, first_donor, n):
+    """The first ``n`` draws of ``random.Random(seed)`` over the pool that
+    land on a donor, one of the pool indices from ``first_donor`` on."""
+    rng, draws = random.Random(seed), []
+    while len(draws) < n:
+        idx = rng.randrange(pool_size)
+        if idx >= first_donor:
+            draws.append(idx)
+    return draws
+
+
+def donor_corpus(target_cell, donor_texts):
+    """Table "a" holding ``target_cell``, with two statements sharing no word
+    with it (so it asks for one Unknown statement), then table "b" whose
+    statements are the donors."""
+    return [make_table([["head"], [target_cell]], table_id="a",
+                       statements=[make_statement("s0", "x1 y1", cp.Label.ENTAILED),
+                                   make_statement("s1", "x2 y2", cp.Label.REFUTED)]),
+            make_table([["head"], ["zz"]], table_id="b",
+                       statements=[make_statement(f"s{i}", text, cp.Label.ENTAILED)
+                                   for i, text in enumerate(donor_texts)])]
 
 
 def label_counts(doc):
@@ -119,6 +144,43 @@ class TestGenerateUnknown:
             out, _ = generate_unknown(docs, AugmentConfig(rng_seed=seed))
             added = out[0].statements[2:]
             assert [st_.text for st_ in added] == ["clean words"]
+
+    def test_guard_accepts_leak_equal_to_threshold(self):
+        """Donor "alpha zz" shares half its unigrams with table a, exactly
+        the threshold, so the first donor drawn is kept whichever it is."""
+        donors = ["alpha zz", "yy zz"]
+        for seed in range(10):
+            out, _ = generate_unknown(donor_corpus("alpha", donors), AugmentConfig(rng_seed=seed))
+            first = reference_draws(seed, 4, 2, 1)[0]
+            assert [st_.text for st_ in out[0].statements[2:]] == [donors[first - 2]]
+
+    def test_every_donor_leaks_keeps_least_leaky_of_ten_draws(self):
+        # leaks 1, 4/5, 3/4, 2/3, 3/5 and 4/7 against table a's words
+        donors = ["alpha beta gamma delta", "alpha beta gamma delta zz", "alpha beta gamma zz",
+                  "alpha beta zz", "alpha beta gamma zz yy", "alpha beta gamma delta z1 z2 z3"]
+        leaks = [1, 4 / 5, 3 / 4, 2 / 3, 3 / 5, 4 / 7]
+        for seed in range(40):
+            out, _ = generate_unknown(donor_corpus("alpha beta gamma delta", donors),
+                                      AugmentConfig(rng_seed=seed))
+            best = min(reference_draws(seed, 8, 2, 10), key=lambda idx: leaks[idx - 2])
+            assert [st_.text for st_ in out[0].statements[2:]] == [donors[best - 2]]
+
+    def test_donor_draws_stop_after_ten_eligible(self):
+        draws = list(_donor_draws(random.Random(0), 6, lambda idx: idx >= 2))
+        assert draws == reference_draws(0, 6, 2, 10)
+
+    def test_donor_draws_scan_pool_when_no_draw_is_eligible(self):
+        # 1000 draws from a million indices miss the one eligible index
+        assert list(_donor_draws(random.Random(0), 10 ** 6, lambda idx: idx == 7)) == [7]
+        assert list(_donor_draws(random.Random(0), 5, lambda idx: False)) == []
+
+    def test_appended_id_avoids_existing_ids(self):
+        docs = corpus_of([("a", ["p q", "r s"]), ("b", ["m n", "o p"])])
+        docs[0] = make_table([["head"], ["cell a"]], table_id="a", statements=[
+            make_statement("unk-1", "p q", cp.Label.ENTAILED),
+            make_statement("unk-1x", "r s", cp.Label.REFUTED)])
+        out, _ = generate_unknown(docs, AugmentConfig(rng_seed=1))
+        assert [st_.stmt_id for st_ in out[0].statements] == ["unk-1", "unk-1x", "unk-1xx"]
 
     def test_guard_zero_disables(self):
         docs = [

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tabverify
-from conftest import FIXTURES
+from conftest import FIXTURES, make_statement, make_table
 from tabverify import cli, evidence
-from tabverify.corpus import parse_xml, read_corpus
+from tabverify.corpus import Label, parse_xml, read_corpus, write_corpus
 
 
 def run(argv):
@@ -111,8 +111,9 @@ class TestEndToEnd:
                     "--evidence", f"{w}/evidence.jsonl", "--micro",
                     "--out", f"{w}/report_micro.json"]) == 0
         expected = fixtures_dir / "expected"
-        for name in ["stats.json", "preds.jsonl", "evidence.jsonl", "report.json",
-                     "report_micro.json"]:
+        for name in ["corpus.jsonl", "stats.json", "augmented.jsonl", "snapshots.jsonl",
+                     "scores.jsonl", "layer.json", "preds.jsonl", "evidence.jsonl",
+                     "report.json", "report_micro.json"]:
             assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
 
     def test_evidence_trace_reproduces_frozen_file(self, pipeline_dir, fixtures_dir, tmp_path):
@@ -337,7 +338,11 @@ class TestJsonlBoundary:
          "missing field 'model_names'"),
         (lambda layer: json.dumps({k: v for k, v in layer.items() if k != "bias"}),
          "missing field 'bias'"),
-    ], ids=["invalid-json", "missing-weights", "missing-model-names", "missing-bias"])
+        (lambda layer: json.dumps({**layer, "model_names": []}), "at least one model required"),
+        (lambda layer: json.dumps({**layer, "bias": [0.0, float("nan"), 0.0]}),
+         "non-finite layer parameters"),
+    ], ids=["invalid-json", "missing-weights", "missing-model-names", "missing-bias",
+            "no-models", "nan-bias"])
     def test_bad_layer_file_reports_path(self, fixtures_dir, tmp_path, capsys,
                                          rewrite, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -522,7 +527,7 @@ EVERY_OPTION = [
     ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{o}/scores.jsonl", "--ngrams", "1",
      "--abbrev-file", str(ABBREVS), "--model-name", "lex2"],
     ["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
-     "--out", "{o}/layer.json", "--lr", "0.2", "--epochs", "5", "--l2", "0.01", "--seed", "1"],
+     "--out", "{o}/layer.json", "--lr", "0.2", "--epochs", "5", "--l2", "0.01"],
     ["predict", "{w}/scores.jsonl", "--layer", "{w}/layer.json", "--out", "{o}/preds.jsonl",
      "--majority"],
     ["evidence", "{w}/corpus.jsonl", "{w}/preds.jsonl", "{o}/evidence.jsonl",
@@ -634,6 +639,36 @@ class TestBadOptions:
         assert capsys.readouterr().err == (
             f"error: guard_threshold must be finite, got {float(threshold)}\n")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text, lineno, reason", [
+        ("justoneword\n", 1, "expected 'abbrev<TAB>full form', got 'justoneword'"),
+        ("# comment\navg\taverage\nno\tno more\n", 3, "abbreviation 'no' expands to itself"),
+        ("No\tnumber\n", 1, "abbreviation key must be lowercase: 'No'"),
+        ("\navg\t--\n", 2, "empty expansion for 'avg'"),
+    ], ids=["no-tab", "cycle", "uppercase-key", "empty-expansion"])
+    def test_bad_abbrev_file_reports_location(self, pipeline_dir, tmp_path, capsys,
+                                              text, lineno, reason):
+        abbrevs = tmp_path / "abbrevs.tsv"
+        abbrevs.write_text(text, "utf-8")
+        assert run(["snapshot", f"{pipeline_dir}/corpus.jsonl", f"{tmp_path}/snapshots.jsonl",
+                    "--abbrev-file", str(abbrevs)]) == 2
+        assert capsys.readouterr().err == f"error: {abbrevs}:{lineno}: {reason}\n"
+        assert list(tmp_path.iterdir()) == [abbrevs]
+
+    def test_augment_warns_of_unfilled_quota(self, tmp_path, caplog):
+        """Table a asks for 3 Unknown statements; table b has 1 to lend."""
+        docs = [make_table([["h"], ["x"]], table_id=tid, statements=[
+            make_statement(f"s{i}", f"text {tid} {i}", Label.ENTAILED) for i in range(n)])
+            for tid, n in (("a", 6), ("b", 1))]
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(docs, corpus_path)
+        out = tmp_path / "augmented.jsonl"
+        assert run(["augment", str(corpus_path), str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "table a: appended 1 of 3 requested unknown statements"]
+        manifest = json.loads((tmp_path / "augmented.jsonl.manifest.json").read_text())
+        assert manifest["options"]["warnings"] == [
+            {"table_id": "a", "requested": 3, "appended": 1}]
 
     @pytest.mark.parametrize("rows", ["0", "-5"])
     def test_snapshot_rows_r_not_replaced(self, pipeline_dir, tmp_path, capsys, rows):

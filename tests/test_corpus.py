@@ -49,6 +49,17 @@ class TestParseXml:
         with pytest.raises(cp.SchemaError, match="table id"):
             cp.parse_xml(b'<document id="d"><table><row><cell text="x"/></row></table></document>')
 
+    def test_negative_header_rows(self):
+        with pytest.raises(cp.SchemaError, match="header_rows must be >= 0"):
+            cp.parse_xml(b'<document id="d"><table id="t" header_rows="-1">'
+                         b'<row><cell text="x"/></row></table></document>')
+
+    def test_statement_without_id(self):
+        with pytest.raises(cp.SchemaError, match="statement without id in table 't'"):
+            cp.parse_xml(b'<document id="d"><table id="t"><row><cell text="x"/></row>'
+                         b'<statements><statement text="x" type="entailed"/></statements>'
+                         b'</table></document>')
+
     def test_unrecognized_label_named(self):
         with pytest.raises(cp.SchemaError, match="maybe"):
             cp.parse_xml(
@@ -73,6 +84,29 @@ class TestParseXml:
                 b'<statements><statement id="s" text="x" type="entailed">'
                 b'<evidence><cell row="5" col="0"/></evidence>'
                 b'</statement></statements></table></document>')
+
+    def test_empty_evidence_version(self):
+        with pytest.raises(cp.SchemaError, match="'s' has an empty evidence version"):
+            cp.parse_xml(
+                b'<document id="d"><table id="t"><row><cell text="a"/></row>'
+                b'<statements><statement id="s" text="x" type="entailed">'
+                b'<evidence><cell row="0" col="0"/></evidence><evidence/>'
+                b'</statement></statements></table></document>')
+
+    @pytest.mark.parametrize("xml", [b'<document id="d"/>',
+                                     b'<document id="d"><tabel id="t"/></document>',
+                                     b'<row><cell text="a"/></row>'])
+    def test_without_table_element(self, xml):
+        with pytest.raises(cp.SchemaError, match="expected a <table> element"):
+            cp.parse_xml(xml)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    def test_str_input_keeps_its_text(self, encoding):
+        """A str is already decoded: its encoding declaration changes nothing."""
+        doc = cp.parse_xml(f'<?xml version="1.0" encoding="{encoding}"?>'
+                           '<document id="d"><table id="t"><row><cell text="caf\u00e9"/></row>'
+                           '</table></document>')
+        assert doc.grid == (("caf\u00e9",),)
 
     def test_duplicate_statement_id(self):
         with pytest.raises(cp.SchemaError, match="duplicate"):
@@ -122,6 +156,13 @@ class TestInterchange:
         with pytest.raises(cp.DecodeError):
             cp.from_interchange(b"{not json")
 
+    def test_empty_evidence_version(self):
+        line = cp.to_interchange(make_table([["a"]], statements=[
+            make_statement("s", "x", cp.Label.ENTAILED, [{(0, 0)}])])).decode()
+        line = line.replace('"evidence": [[[0, 0]]]', '"evidence": [[]]')
+        with pytest.raises(cp.DecodeError, match="'s' has an empty evidence version"):
+            cp.from_interchange(line)
+
     def test_missing_field(self):
         with pytest.raises(cp.DecodeError, match="missing field"):
             cp.from_interchange(b'{"format_version": 1, "doc_id": "d"}')
@@ -132,6 +173,28 @@ class TestInterchange:
         path = tmp_path / "corpus.jsonl"
         cp.write_corpus(docs, path)
         assert cp.read_corpus(path) == docs
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b'{"old": 1}\n')
+
+        def records():
+            yield {"new": 1}
+            raise RuntimeError("halfway")
+
+        with pytest.raises(RuntimeError, match="halfway"):
+            cp.write_jsonl(records(), path)
+        assert path.read_bytes() == b'{"old": 1}\n'
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_write_replaces_old_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old\n")
+        cp.write_json({"b": 1, "a": "\u00e9"}, path)
+        assert path.read_bytes() == b'{\n  "a": "\\u00e9",\n  "b": 1\n}\n'
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCorpusStats:

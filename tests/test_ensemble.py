@@ -134,6 +134,10 @@ class TestTrain:
         with pytest.raises(ens.EnsembleError):
             ens.train([], ens.TrainConfig())
 
+    def test_feature_width_must_match_model_count(self):
+        with pytest.raises(ens.EnsembleError, match=r"shape \(4, 6\) inconsistent with 1 models"):
+            ens.train(random_examples(4, 2, seed=1), model_names=("a",))
+
     def test_trace_length_matches_epochs(self):
         examples = random_examples(10, 1, seed=1)
         _, trace = ens.train(examples, ens.TrainConfig(epochs=17))
@@ -203,7 +207,10 @@ class TestPersistence:
         layer = ens.VoteLayer(("a", "b"), rng.normal(size=(3, 6)), rng.normal(size=3))
         path = tmp_path / "layer.json"
         layer.save(path, ens.TrainConfig())
-        assert ens.VoteLayer.load(path) == layer
+        loaded = ens.VoteLayer.load(path)
+        assert loaded.model_names == layer.model_names
+        assert np.array_equal(loaded.weights, layer.weights)
+        assert np.array_equal(loaded.bias, layer.bias)
 
 
 class TestMajorityVote:

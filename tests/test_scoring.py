@@ -112,6 +112,11 @@ class TestScore3Way:
         assert report["overall_3way"] == pytest.approx(7 / 9, abs=1e-12)
         assert report["confusion"]["entailed->refuted"] == 1
 
+    def test_table_without_labelled_statement_not_scored(self):
+        gold = corpus_from_labels([("t1", [E, R]), ("t2", [None, None])])
+        report = scoring.score_task_a(preds_from([("t1", [E, R])]), gold)
+        assert report["per_table_3way"] == report["per_table_2way"] == {"t1": 1.0}
+
     def test_missing_prediction_named(self):
         gold = corpus_from_labels([("t1", [E])])
         with pytest.raises(scoring.ScoringError, match="s0"):

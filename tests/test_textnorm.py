@@ -86,6 +86,16 @@ class TestStem:
         assert tn.stem.__wrapped__(word) == reference_stem(word)
         assert tn.stem(word) == reference_stem(word)
 
+    @pytest.mark.parametrize("word, stemmed", [("hopping", "hop"), ("hoping", "hope"),
+                                                ("falling", "fall")])
+    def test_fixup_undoubles_or_restores_e(self, word, stemmed):
+        assert tn.stem.__wrapped__(word) == stemmed
+
+    @pytest.mark.parametrize("word, cvc", [("", False), ("ho", False), ("hop", True),
+                                           ("hoe", False), ("how", False)])
+    def test_ends_cvc(self, word, cvc):
+        assert tn._ends_cvc(word) is cvc
+
     def test_empty_suffix_rejected(self, monkeypatch):
         monkeypatch.setattr(tn, "_load_lines", lambda name: iter(["s\t\t3\t-", "\t\t3\t-"]))
         with pytest.raises(ValueError, match="empty suffix"):
@@ -107,18 +117,31 @@ class TestAbbrevTable:
         table = tn.load_abbrev_file(path)
         assert table == {"no": ("number",), "avg": ("average",)}
 
+    def test_empty_expansion_rejected(self):
+        with pytest.raises(tn.AbbrevError, match="empty expansion for 'x'"):
+            tn.make_abbrev_table([("x", " -- ")])
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "abbrevs.tsv"
         path.write_text("justoneword\n", "utf-8")
-        with pytest.raises(tn.AbbrevError):
+        with pytest.raises(tn.AbbrevError) as exc:
             tn.load_abbrev_file(path)
+        assert str(exc.value) == (
+            f"{path}:1: expected 'abbrev<TAB>full form', got 'justoneword'")
 
     @pytest.mark.parametrize("line", ["no number", "\tnumber", "no\t "])
     def test_line_without_tab_and_full_form_rejected(self, tmp_path, line):
         path = tmp_path / "abbrevs.tsv"
         path.write_text(f"avg\taverage\n{line}\n", "utf-8")
-        with pytest.raises(tn.AbbrevError, match="expected 'abbrev<TAB>full form'"):
+        with pytest.raises(tn.AbbrevError, match=f"^{path}:2: expected 'abbrev<TAB>full form'"):
             tn.load_abbrev_file(path)
+
+    def test_chained_entries_expand_once(self, tmp_path):
+        """Expansion is a single pass: an expansion's own tokens stay as
+        they are, even when another entry names them."""
+        path = tmp_path / "abbrevs.tsv"
+        path.write_text("pts\tpoints total\ntotal\tsum\n", "utf-8")
+        assert tn.normalize("pts total", tn.load_abbrev_file(path)) == ["point", "total", "sum"]
 
     def test_blank_lines_comments_and_padding(self, tmp_path):
         path = tmp_path / "abbrevs.tsv"
