@@ -66,14 +66,15 @@ def _score_triple(obj):
 
 def read_scores(paths):
     """Every score file's triples as ``{(table_id, stmt_id): {model: triple}}``,
-    and the model names in order of first appearance.
+    Records of the files named ``", ".join(paths)``, and the model names in
+    order of first appearance.
 
     A (model, table_id, stmt_id) key may appear once across all the files,
     and every statement needs a triple from every model; one model's triples
     may be split across files.  Unknown fields are ignored.  Bad records
     raise ScoreFileError.
     """
-    scores = {}
+    scores = corpus.Records(", ".join(map(str, paths)))
     sources = {}  # (model, table_id, stmt_id) -> path
     for path in paths:
         records = corpus.read_jsonl(path, _score_triple, SCORE_KEY, ScoreFileError)

@@ -161,10 +161,7 @@ def cmd_baseline(args):
         view = textnorm.TableView(doc, abbrevs)
         body = doc.body_row_indices
         for st in doc.statements:
-            rows = snaps.get((doc.table_id, st.stmt_id))
-            if rows is None:
-                raise ValueError(f"{args.snapshots}: no snapshot for table "
-                                 f"{doc.table_id!r} statement {st.stmt_id!r}")
+            rows = snaps[(doc.table_id, st.stmt_id)]
             if not all(r in body for r in rows):
                 raise ValueError(f"{args.snapshots}: snapshot rows {list(rows)} "
                                  f"for table {doc.table_id!r} statement {st.stmt_id!r} "
@@ -180,16 +177,12 @@ def cmd_ensemble_train(args):
     docs = corpus.read_corpus(args.corpus)
     scores, model_names = classify.read_scores(args.scores)
     gold = {(doc.table_id, st.stmt_id): st.gold_label for doc in docs for st in doc.statements}
-    missing = next((key for key, label in gold.items() if label and key not in scores), None)
-    if missing:
-        raise ValueError(f"{', '.join(args.scores)}: no scores for labelled statement "
-                         f"({missing[0]}, {missing[1]})")
+    examples = [(ensemble.assemble_features(scores[key], model_names), gold[key])
+                for key in sorted(gold) if gold[key]]
     outside = sum(key not in gold for key in scores)
     if outside:
         log.warning("%s: ignored the scores of %d statement(s) not in %s",
-                    ", ".join(args.scores), outside, args.corpus)
-    examples = [(ensemble.assemble_features(scores[key], model_names), gold[key])
-                for key in sorted(gold) if gold[key]]
+                    scores.path, outside, args.corpus)
     config = ensemble.TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
     layer, trace = ensemble.train(examples, config, model_names)
     layer.save(args.out, config)
@@ -227,17 +220,13 @@ def cmd_evidence(args):
     if not (args.use_gold_taska or args.predictions):
         raise ValueError("evidence requires a predictions file or --use-gold-taskA")
     docs = corpus.read_corpus(args.corpus)
-    labels = {} if args.use_gold_taska else _read_predictions(args.predictions)
+    labels = None if args.use_gold_taska else _read_predictions(args.predictions)
     abbrevs = _load_abbrevs(args.abbrev_file)
     records = []
     for doc in docs:
         view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
-            key = (doc.table_id, st.stmt_id)
-            if not (args.use_gold_taska or key in labels):
-                raise ValueError(f"{args.predictions}: no prediction for table "
-                                 f"{doc.table_id!r} statement {st.stmt_id!r}")
-            label = st.gold_label if args.use_gold_taska else labels[key]
+            label = st.gold_label if labels is None else labels[(doc.table_id, st.stmt_id)]
             rec = {"table_id": doc.table_id, "stmt_id": st.stmt_id,
                    "n_rows": doc.n_rows, "n_cols": doc.n_cols}
             if label is None or label == corpus.Label.UNKNOWN:
@@ -256,7 +245,7 @@ def cmd_evidence(args):
     return 0
 
 
-class _Evidence(dict):
+class _Evidence(corpus.Records):
     """Evidence records kept as ``(runs, n_rows, n_cols)``; looking a record
     up decodes it into its set of relevant cells."""
 
@@ -280,15 +269,7 @@ def _read_evidence(path, docs):
         evidence.rle_check(runs, *shape)
         return runs, *shape
 
-    return _Evidence(corpus.read_jsonl(path, check, STATEMENT_KEY, ValueError))
-
-
-def _score(path, scorer, *args):
-    """``scorer(*args)``, naming ``path`` in a ScoringError about its records."""
-    try:
-        return scorer(*args)
-    except scoring.ScoringError as exc:
-        raise scoring.ScoringError(f"{path}: {exc}") from exc
+    return _Evidence(path, corpus.read_jsonl(path, check, STATEMENT_KEY, ValueError))
 
 
 def cmd_score(args):
@@ -298,14 +279,15 @@ def cmd_score(args):
     average = "micro" if args.micro else "macro"
     report = {}
     if args.preds:
-        task_a = _score(args.preds, scoring.score_task_a,
-                        _read_predictions(args.preds), docs, average)
+        task_a = scoring.score_task_a(_read_predictions(args.preds), docs, average)
         report["task_a"] = task_a
         print(f"task A 2-way F1: {task_a['overall_2way']:.4f}")
         print(f"task A 3-way F1: {task_a['overall_3way']:.4f}")
     if args.evidence:
-        task_b = _score(args.evidence, scoring.score_task_b,
-                        _read_evidence(args.evidence, docs), docs)
+        try:
+            task_b = scoring.score_task_b(_read_evidence(args.evidence, docs), docs)
+        except scoring.ScoringError as exc:  # two corpus statements share a report key
+            raise scoring.ScoringError(f"{args.corpus}: {exc}") from exc
         report["task_b"] = task_b
         print(f"task B cell F1: {task_b['overall']:.4f}")
     corpus.write_json(report, args.out)

@@ -228,11 +228,24 @@ def bad_input_reason(exc):
     return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
+class Records(dict):
+    """The records of the file or files named ``path``, by key.  Looking up a
+    key they do not hold raises ``SchemaError("path: no record for key")``;
+    ``get``, ``in`` and ``setdefault`` behave as for any dict."""
+
+    def __init__(self, path, *args):
+        super().__init__(*args)
+        self.path = path
+
+    def __missing__(self, key):
+        raise SchemaError(f"{self.path}: no record for {key}")
+
+
 def read_jsonl(path, convert, key, error):
     """Map each record's ``key`` fields (strings) to ``convert(record)``, in
-    file order, skipping blank lines.  A repeated key and every BAD_INPUT
-    error are raised as ``error("path:line: reason")``."""
-    records = {}
+    file order, skipping blank lines, as Records of ``path``.  A repeated key
+    and every BAD_INPUT error are raised as ``error("path:line: reason")``."""
+    records = Records(path)
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -257,16 +270,18 @@ def _jsonl_line(obj):
 
 def _write_atomic(chunks, path):
     """Write the byte strings ``chunks`` to a temporary file beside ``path``
-    and rename it to ``path``: a write that fails leaves ``path`` as it was
-    and removes the temporary file."""
+    and rename it to ``path``: a write that fails leaves ``path`` as it was,
+    removes the temporary file and reports an OSError under ``path``."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -9,6 +9,10 @@ All metrics average per table first, then across tables.  Precision,
 recall and F1 are 0 when their denominator is 0.  No score is taken with
 both sides empty: a table's F1 is over the classes present in its gold or
 predicted labels, and every gold evidence version holds a cell.
+
+Predictions are looked up by ``(table_id, stmt_id)``, so a statement they
+lack raises what the mapping raises: a ``corpus.Records`` names its file,
+a plain dict raises KeyError.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .classify import CLASS_ORDER
 
 
 class ScoringError(ValueError):
-    pass
+    """Two scored statements share a ``"table_id/stmt_id"`` report key."""
 
 
 def _prf(tp, fp, fn):
@@ -26,13 +30,6 @@ def _prf(tp, fp, fn):
     r = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f1
-
-
-def _require_pred(preds, table_id, stmt_id):
-    key = (table_id, stmt_id)
-    if key not in preds:
-        raise ScoringError(f"missing prediction for statement ({table_id}, {stmt_id})")
-    return preds[key]
 
 
 def _table_f1(pairs, classes, average):
@@ -69,7 +66,7 @@ def score_task_a(preds, gold_corpus, average="macro"):
     three_way, two_way = set(CLASS_ORDER), (Label.ENTAILED, Label.REFUTED)
     per_table_3way, per_table_2way, confusion = {}, {}, {}
     for doc in gold_corpus:
-        pairs = [(st.gold_label, _require_pred(preds, doc.table_id, st.stmt_id))
+        pairs = [(st.gold_label, preds[(doc.table_id, st.stmt_id)])
                  for st in doc.statements if st.gold_label is not None]
         if not pairs:
             continue
@@ -107,8 +104,6 @@ def score_task_b(pred_maps, gold_corpus):
             if st.gold_label == Label.UNKNOWN or not st.gold_evidence:
                 continue
             key = (doc.table_id, st.stmt_id)
-            if key not in pred_maps:
-                raise ScoringError(f"missing evidence prediction for {key}")
             pred = pred_maps[key]
             best = max((_cell_prf(pred, cells) for cells in st.gold_evidence),
                        key=lambda prf: prf[2])

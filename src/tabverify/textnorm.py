@@ -83,18 +83,19 @@ def load_abbrev_file(path):
     ``#`` comments and blank lines ignored.  A bad line is an AbbrevError
     ``"path:line: reason"``."""
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at "\n", "\r\n" and "\r", as text mode splits
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line or line.startswith("#"):
                 continue
             key, tab, full = line.partition("\t")
-            try:
-                if not tab:
-                    raise AbbrevError(f"expected 'abbrev<TAB>full form', got {line!r}")
-                table.update(make_abbrev_table([(key.strip(), full.strip())]))
-            except AbbrevError as exc:
-                raise AbbrevError(f"{path}:{lineno}: {exc}") from None
+            if not tab:
+                raise AbbrevError(f"expected 'abbrev<TAB>full form', got {line!r}")
+            table.update(make_abbrev_table([(key.strip(), full.strip())]))
+        except ValueError as exc:  # an AbbrevError or a UnicodeDecodeError
+            raise AbbrevError(f"{path}:{lineno}: {exc}") from None
     return table
 
 

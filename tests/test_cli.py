@@ -237,7 +237,7 @@ class TestJsonlBoundary:
     @pytest.mark.parametrize("name, lineno, rewrite, argv, message", [
         ("snapshots.jsonl", 6, lambda line: "",
          ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{w}/scores2.jsonl"],
-         "{w}/snapshots.jsonl: no snapshot for table 't2' statement 's3'"),
+         "{w}/snapshots.jsonl: no record for ('t2', 's3')"),
         ("preds.jsonl", 2,
          lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "label"}),
          SCORE_PREDS, "{w}/preds.jsonl:2: missing field 'label'"),
@@ -271,14 +271,14 @@ class TestJsonlBoundary:
         ("scores.jsonl", 1, lambda line: line + "\n" + line, PREDICT,
          "{w}/scores.jsonl:2: duplicate record for ('lexical', 't1', 's1')"),
         ("preds.jsonl", 2, lambda line: "", EVIDENCE,
-         "{w}/preds.jsonl: no prediction for table 't1' statement 's2'"),
+         "{w}/preds.jsonl: no record for ('t1', 's2')"),
         not_body_rows([-1]),
         not_body_rows([0]),
         not_body_rows([999]),
         ("preds.jsonl", 2, lambda line: "", SCORE_PREDS,
-         "{w}/preds.jsonl: missing prediction for statement (t1, s2)"),
+         "{w}/preds.jsonl: no record for ('t1', 's2')"),
         ("evidence.jsonl", 2, lambda line: "", SCORE_EVIDENCE,
-         "{w}/evidence.jsonl: missing evidence prediction for ('t1', 's2')"),
+         "{w}/evidence.jsonl: no record for ('t1', 's2')"),
         ("evidence.jsonl", 1, lambda line: set_field("n_cols", 6)(set_field("n_rows", 2)(line)),
          SCORE_EVIDENCE, "{w}/evidence.jsonl:1: evidence grid for ('t1', 's1') is 2x6, "
          "table is 4x3"),
@@ -300,7 +300,7 @@ class TestJsonlBoundary:
         ("scores.jsonl", 1, lambda line: "",
          ["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
           "--out", "{w}/layer2.json"],
-         "{w}/scores.jsonl: no scores for labelled statement (t1, s1)"),
+         "{w}/scores.jsonl: no record for ('t1', 's1')"),
         ("snapshots.jsonl", 1, set_field("k", 99), BASELINE,
          "{w}/snapshots.jsonl:1: field 'k' is 99, but 'rows' holds 3 rows"),
         ("evidence.jsonl", 1, set_field("relevant_rle", [1]), SCORE_EVIDENCE,
@@ -617,6 +617,26 @@ class TestScoreCoverage:
         assert ((tmp_path / "layer.json").read_bytes()
                 == (pipeline_dir / "layer.json").read_bytes())
 
+    def test_colliding_report_keys_name_the_corpus(self, tmp_path, capsys):
+        """Tables "a/b" and "a" with statements "c" and "b/c" would both be
+        reported as "a/b/c"; both ids come from the corpus."""
+        src = tmp_path / "xml"
+        src.mkdir()
+        for name, table_id, stmt_id in (("1.xml", "a/b", "c"), ("2.xml", "a", "b/c")):
+            (src / name).write_text(
+                f'<document><table id="{table_id}"><row><cell text="h"/></row>'
+                f'<row><cell text="x"/></row><statements><statement id="{stmt_id}" '
+                'text="x" type="entailed"><evidence><cell row="1" col="0"/></evidence>'
+                '</statement></statements></table></document>')
+        corpus, ev = f"{tmp_path}/corpus.jsonl", f"{tmp_path}/ev.jsonl"
+        assert run(["parse", str(src), corpus]) == 0
+        assert run(["evidence", corpus, ev, "--use-gold-taskA"]) == 0
+        assert run(["score", "--corpus", corpus, "--evidence", ev,
+                    "--out", f"{tmp_path}/report.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: statement ('a', 'b/c') and an earlier one share "
+            "the key 'a/b/c'\n")
+
 
 class TestBadOptions:
     @pytest.mark.parametrize("option, message", [
@@ -654,6 +674,21 @@ class TestBadOptions:
                     "--abbrev-file", str(abbrevs)]) == 2
         assert capsys.readouterr().err == f"error: {abbrevs}:{lineno}: {reason}\n"
         assert list(tmp_path.iterdir()) == [abbrevs]
+
+    @pytest.mark.parametrize("out, directory, message", [
+        ("nope/out.json", None, "[Errno 2] No such file or directory: '{w}/nope/out.json'"),
+        ("out.json", "out.json.manifest.json",
+         "[Errno 21] Is a directory: '{w}/out.json.manifest.json'"),
+    ], ids=["output", "manifest"])
+    def test_unwritable_output_reported_under_its_path(self, pipeline_dir, tmp_path, capsys,
+                                                       out, directory, message):
+        """A failed write names the file it was to write, not its temp file,
+        and leaves no temp file."""
+        if directory:
+            (tmp_path / directory).mkdir()
+        assert run(["stats", f"{pipeline_dir}/corpus.jsonl", "--out", f"{tmp_path}/{out}"]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(w=tmp_path)}\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_augment_warns_of_unfilled_quota(self, tmp_path, caplog):
         """Table a asks for 3 Unknown statements; table b has 1 to lend."""

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tabverify import scoring
-from tabverify.corpus import Label
+from tabverify.corpus import Label, Records, SchemaError
 from conftest import make_statement, make_table
 
 E, R, U = Label.ENTAILED, Label.REFUTED, Label.UNKNOWN
@@ -119,7 +119,10 @@ class TestScore3Way:
 
     def test_missing_prediction_named(self):
         gold = corpus_from_labels([("t1", [E])])
-        with pytest.raises(scoring.ScoringError, match="s0"):
+        with pytest.raises(SchemaError) as exc:
+            scoring.score_task_a(Records("preds.jsonl"), gold)
+        assert str(exc.value) == "preds.jsonl: no record for ('t1', 's0')"
+        with pytest.raises(KeyError):  # a plain dict reports no file
             scoring.score_task_a({}, gold)
 
 

@@ -143,6 +143,20 @@ class TestAbbrevTable:
         path.write_text("pts\tpoints total\ntotal\tsum\n", "utf-8")
         assert tn.normalize("pts total", tn.load_abbrev_file(path)) == ["point", "total", "sum"]
 
+    def test_line_not_utf8_reports_location(self, tmp_path):
+        path = tmp_path / "abbrevs.tsv"
+        path.write_bytes(b"avg\taverage\nno\tnumb\xffer\n")
+        with pytest.raises(tn.AbbrevError) as exc:
+            tn.load_abbrev_file(path)
+        assert str(exc.value) == (f"{path}:2: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 7: invalid start byte")
+
+    def test_lines_end_at_carriage_returns(self, tmp_path):
+        path = tmp_path / "abbrevs.tsv"
+        path.write_bytes(b"avg\taverage\rno\tnumber\r\npts\tpoints")
+        assert tn.load_abbrev_file(path) == {
+            "avg": ("average",), "no": ("number",), "pts": ("points",)}
+
     def test_blank_lines_comments_and_padding(self, tmp_path):
         path = tmp_path / "abbrevs.tsv"
         path.write_text("\n   \n  # comment\n avg \t average \r\n", "utf-8")
