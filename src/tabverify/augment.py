@@ -19,10 +19,6 @@ from .corpus import Label, Statement
 MAX_REDRAWS = 10
 
 
-class AugmentError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AugmentConfig:
     rng_seed: int
@@ -33,9 +29,9 @@ class AugmentConfig:
 
     def __post_init__(self):
         if not (0 < self.unknown_ratio <= 1):
-            raise AugmentError(f"unknown_ratio must be in (0, 1], got {self.unknown_ratio}")
+            raise ValueError(f"unknown_ratio must be in (0, 1], got {self.unknown_ratio}")
         if not math.isfinite(self.guard_threshold):
-            raise AugmentError(f"guard_threshold must be finite, got {self.guard_threshold}")
+            raise ValueError(f"guard_threshold must be finite, got {self.guard_threshold}")
 
 
 def merge_corpora(base, external):
@@ -48,7 +44,7 @@ def merge_corpora(base, external):
     seen = set()
     for doc in merged:
         if doc.table_id in seen:
-            raise AugmentError(f"duplicate table_id after merge: {doc.table_id!r}")
+            raise ValueError(f"duplicate table_id after merge: {doc.table_id!r}")
         seen.add(doc.table_id)
     return merged
 
@@ -90,7 +86,7 @@ def generate_unknown(corpus, config, abbrevs=None):
     a warning records any table whose quota could not be filled.
     """
     if len(corpus) < 2:
-        raise AugmentError("generate_unknown requires at least 2 tables")
+        raise ValueError("generate_unknown requires at least 2 tables")
     rng = random.Random(config.rng_seed)
     pool = []  # (table position, Statement, statement unigram set)
     for pos, doc in enumerate(corpus):

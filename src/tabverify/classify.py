@@ -20,10 +20,6 @@ CLASS_ORDER = (Label.ENTAILED, Label.REFUTED, Label.UNKNOWN)
 NEGATION_FACTOR = 2.0
 
 
-class ScoreFileError(ValueError):
-    pass
-
-
 def lexical_baseline(statement, view, rows, n_values=(1, 2)):
     """Deterministic stand-in classifier over the snapshot ``rows`` of
     ``view`` (a ``textnorm.TableView``).
@@ -54,13 +50,13 @@ def write_scores(scores, path):
 
 def _score_triple(obj):
     if not obj["model"]:
-        raise ScoreFileError("model must be non-empty")
+        raise corpus.SchemaError("model must be non-empty")
     scores = tuple(corpus.json_field(obj, "scores", list))
     if len(scores) != 3:
-        raise ScoreFileError(f"expected 3 scores, got {len(scores)}")
+        raise corpus.SchemaError(f"expected 3 scores, got {len(scores)}")
     # JSON booleans are not numbers, and an integer past the float range is not finite here.
     if not all(type(s) in (int, float) and abs(s) <= sys.float_info.max for s in scores):
-        raise ScoreFileError(f"scores must be finite numbers, got {scores}")
+        raise corpus.SchemaError(f"scores must be finite numbers, got {scores}")
     return scores
 
 
@@ -72,15 +68,15 @@ def read_scores(paths):
     A (model, table_id, stmt_id) key may appear once across all the files,
     and every statement needs a triple from every model; one model's triples
     may be split across files.  Unknown fields are ignored.  Bad records
-    raise ScoreFileError.
+    raise corpus.SchemaError.
     """
     scores = corpus.Records(", ".join(map(str, paths)))
     sources = {}  # (model, table_id, stmt_id) -> path
     for path in paths:
-        records = corpus.read_jsonl(path, _score_triple, SCORE_KEY, ScoreFileError)
+        records = corpus.read_jsonl(path, _score_triple, SCORE_KEY)
         for key, triple in records.items():
             if key in sources:
-                raise ScoreFileError(
+                raise corpus.SchemaError(
                     f"{path}: duplicate record for {key}, also in {sources[key]}")
             sources[key] = path
             scores.setdefault(key[1:], {})[key[0]] = triple
@@ -89,6 +85,6 @@ def read_scores(paths):
         if len(by_model) < len(model_names):
             model = next(m for m in model_names if m not in by_model)
             files = ", ".join(dict.fromkeys(str(p) for k, p in sources.items() if k[0] == model))
-            raise ScoreFileError(
+            raise corpus.SchemaError(
                 f"{files}: missing scores from model {model!r} for ({table_id}, {stmt_id})")
     return scores, model_names

@@ -77,7 +77,7 @@ def cmd_parse(args):
                     f"duplicate table_id {doc.table_id!r}, also in {seen[doc.table_id]}")
             seen[doc.table_id] = path
             docs.append(doc)
-        except corpus.CorpusError as exc:
+        except corpus.SchemaError as exc:
             failures.append(path)
             log.error("%s: %s", path, exc)
     corpus.write_corpus(docs, args.out)
@@ -126,6 +126,8 @@ def cmd_augment(args):
 
 
 def cmd_snapshot(args):
+    if args.rows_r is not None and args.rows_r < 1:
+        raise ValueError(f"r_rows must be >= 1, got {args.rows_r}")
     docs = corpus.read_corpus(args.corpus)
     r_rows = args.rows_r if args.rows_r is not None else max(1, snapshot.median_row_count(docs))
     abbrevs = _load_abbrevs(args.abbrev_file)
@@ -141,31 +143,34 @@ def cmd_snapshot(args):
     return 0
 
 
-def _snapshot_rows(obj):
-    rows = tuple(corpus.json_field(obj, "rows", list, int))
-    if corpus.json_field(obj, "k", int) != len(rows):  # not used, but must agree
-        raise corpus.SchemaError(f"field 'k' is {obj['k']}, but 'rows' holds {len(rows)} rows")
-    return rows
+def _read_snapshots(path, docs):
+    """Each record's rows.  A record of a corpus table must select body rows
+    of that table."""
+    bodies = {doc.table_id: doc.body_row_indices for doc in docs}
 
+    def rows_of(obj):
+        rows = tuple(corpus.json_field(obj, "rows", list, int))
+        if corpus.json_field(obj, "k", int) != len(rows):  # not used, but must agree
+            raise corpus.SchemaError(
+                f"field 'k' is {obj['k']}, but 'rows' holds {len(rows)} rows")
+        body = bodies.get(obj["table_id"], rows)
+        if not all(r in body for r in rows):
+            raise ValueError(f"snapshot rows {list(rows)} for table {obj['table_id']!r} "
+                             f"statement {obj['stmt_id']!r} are not body rows")
+        return rows
 
-def _read_snapshots(path):
-    return corpus.read_jsonl(path, _snapshot_rows, STATEMENT_KEY, ValueError)
+    return corpus.read_jsonl(path, rows_of, STATEMENT_KEY)
 
 
 def cmd_baseline(args):
     docs = corpus.read_corpus(args.corpus)
-    snaps = _read_snapshots(args.snapshots)
+    snaps = _read_snapshots(args.snapshots, docs)
     abbrevs = _load_abbrevs(args.abbrev_file)
     scores = {}
     for doc in docs:
         view = textnorm.TableView(doc, abbrevs)
-        body = doc.body_row_indices
         for st in doc.statements:
             rows = snaps[(doc.table_id, st.stmt_id)]
-            if not all(r in body for r in rows):
-                raise ValueError(f"{args.snapshots}: snapshot rows {list(rows)} "
-                                 f"for table {doc.table_id!r} statement {st.stmt_id!r} "
-                                 "are not body rows")
             scores[(args.model_name, doc.table_id, st.stmt_id)] = classify.lexical_baseline(
                 st, view, rows, args.ngrams)
     classify.write_scores(scores, args.out)
@@ -212,13 +217,13 @@ def cmd_predict(args):
 
 
 def _read_predictions(path):
-    return corpus.read_jsonl(path, lambda obj: corpus.Label.parse(obj["label"]),
-                             STATEMENT_KEY, ValueError)
+    return corpus.read_jsonl(path, lambda obj: corpus.Label.parse(obj["label"]), STATEMENT_KEY)
 
 
 def cmd_evidence(args):
-    if not (args.use_gold_taska or args.predictions):
-        raise ValueError("evidence requires a predictions file or --use-gold-taskA")
+    if args.use_gold_taska == bool(args.predictions):
+        raise ValueError("evidence requires a predictions file or --use-gold-taskA"
+                         + (", not both" if args.use_gold_taska else ""))
     docs = corpus.read_corpus(args.corpus)
     labels = None if args.use_gold_taska else _read_predictions(args.predictions)
     abbrevs = _load_abbrevs(args.abbrev_file)
@@ -269,7 +274,7 @@ def _read_evidence(path, docs):
         evidence.rle_check(runs, *shape)
         return runs, *shape
 
-    return _Evidence(path, corpus.read_jsonl(path, check, STATEMENT_KEY, ValueError))
+    return _Evidence(path, corpus.read_jsonl(path, check, STATEMENT_KEY))
 
 
 def cmd_score(args):
@@ -382,7 +387,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (corpus.CorpusError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

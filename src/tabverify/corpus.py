@@ -37,27 +37,9 @@ from dataclasses import dataclass
 INTERCHANGE_VERSION = 1
 
 
-class CorpusError(Exception):
-    """Base class for corpus parsing/decoding failures."""
-
-
-class ParseError(CorpusError):
-    """Malformed XML; carries the underlying line/column position."""
-
-    def __init__(self, message, line=None, column=None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
-class SchemaError(CorpusError):
-    """Well-formed XML or JSON that violates the table schema."""
-
-
-class DecodeError(CorpusError):
-    """Interchange bytes that cannot be decoded."""
+class SchemaError(ValueError):
+    """Input that breaks its file's format: XML, JSON lines, interchange,
+    layer files and abbreviation files."""
 
 
 class Label(enum.Enum):
@@ -166,7 +148,7 @@ def parse_xml(data):
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         line, column = exc.position
-        raise ParseError(f"malformed XML: {exc.msg}", line, column) from exc
+        raise SchemaError(f"malformed XML: {exc.msg} (line {line}, column {column})") from exc
 
     table = root.find("table") if root.tag == "document" else root
     if table is None or table.tag != "table":
@@ -219,7 +201,7 @@ def json_field(obj, name, kind, item=None):
 
 
 # What decoding bad input raises; every reader reports it via bad_input_reason.
-BAD_INPUT = (KeyError, TypeError, ValueError, CorpusError)
+BAD_INPUT = (KeyError, TypeError, ValueError)
 
 
 def bad_input_reason(exc):
@@ -241,10 +223,10 @@ class Records(dict):
         raise SchemaError(f"{self.path}: no record for {key}")
 
 
-def read_jsonl(path, convert, key, error):
+def read_jsonl(path, convert, key):
     """Map each record's ``key`` fields (strings) to ``convert(record)``, in
     file order, skipping blank lines, as Records of ``path``.  A repeated key
-    and every BAD_INPUT error are raised as ``error("path:line: reason")``."""
+    and every BAD_INPUT error are raised as ``SchemaError("path:line: reason")``."""
     records = Records(path)
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -260,7 +242,7 @@ def read_jsonl(path, convert, key, error):
                                       else f"duplicate record for {record_key}")
                 records[record_key] = convert(obj)
             except BAD_INPUT as exc:
-                raise error(f"{path}:{lineno}: {bad_input_reason(exc)}") from exc
+                raise SchemaError(f"{path}:{lineno}: {bad_input_reason(exc)}") from exc
     return records
 
 
@@ -340,11 +322,11 @@ def to_interchange(doc):
 
 def from_interchange(data):
     """Decode one interchange line (bytes or str), or the JSON object parsed
-    from one, into a TableDocument.  Every failure is a DecodeError."""
+    from one, into a TableDocument.  Every failure is a SchemaError."""
     try:
         obj = data if isinstance(data, dict) else json.loads(data)
         if json_field(obj, "format_version", int) != INTERCHANGE_VERSION:
-            raise DecodeError(f"unsupported interchange version: {obj['format_version']!r}")
+            raise SchemaError(f"unsupported interchange version: {obj['format_version']!r}")
         grid = json_field(obj, "grid", list, list)
         "".join(map("".join, grid))  # a TypeError unless every cell is a string
         return make_document(
@@ -358,12 +340,12 @@ def from_interchange(data):
                         for s in json_field(obj, "statements", list, dict)],
         )
     except BAD_INPUT as exc:
-        raise DecodeError(bad_input_reason(exc)) from exc
+        raise SchemaError(bad_input_reason(exc)) from exc
 
 
 def read_corpus(path):
     """Read a corpus: one interchange line per table, table ids unique."""
-    return list(read_jsonl(path, from_interchange, ("table_id",), DecodeError).values())
+    return list(read_jsonl(path, from_interchange, ("table_id",)).values())
 
 
 def write_corpus(docs, path):

@@ -15,19 +15,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .classify import CLASS_ORDER
-from .corpus import BAD_INPUT, bad_input_reason, json_field, write_json
+from .corpus import BAD_INPUT, SchemaError, bad_input_reason, json_field, write_json
 
 N_CLASSES = 3
-
-
-class EnsembleError(ValueError):
-    pass
-
-
-class TrainingError(EnsembleError):
-    def __init__(self, message, epoch):
-        super().__init__(f"{message} at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass(frozen=True)
@@ -39,11 +29,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (0 < self.learning_rate < np.inf):
-            raise EnsembleError("learning_rate must be finite and > 0")
+            raise ValueError("learning_rate must be finite and > 0")
         if self.epochs < 1:
-            raise EnsembleError("epochs must be >= 1")
+            raise ValueError("epochs must be >= 1")
         if not (0 <= self.l2 < np.inf):
-            raise EnsembleError("l2 must be finite and >= 0")
+            raise ValueError("l2 must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,14 +45,14 @@ class VoteLayer:
     def __post_init__(self):
         m = len(self.model_names)
         if m < 1:
-            raise EnsembleError("at least one model required")
+            raise ValueError("at least one model required")
         if self.weights.shape != (N_CLASSES, N_CLASSES * m):
-            raise EnsembleError(
+            raise ValueError(
                 f"weights must be {N_CLASSES}x{N_CLASSES * m}, got {self.weights.shape}")
         if self.bias.shape != (N_CLASSES,):
-            raise EnsembleError(f"bias must have shape (3,), got {self.bias.shape}")
+            raise ValueError(f"bias must have shape (3,), got {self.bias.shape}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise EnsembleError("non-finite layer parameters")
+            raise ValueError("non-finite layer parameters")
 
     def save(self, path, config=None):
         obj = {
@@ -82,7 +72,7 @@ class VoteLayer:
                            np.asarray(obj["weights"], dtype=float),
                            np.asarray(obj["bias"], dtype=float))
             except BAD_INPUT as exc:
-                raise EnsembleError(f"{path}: {bad_input_reason(exc)}") from exc
+                raise SchemaError(f"{path}: {bad_input_reason(exc)}") from exc
 
 
 def assemble_features(scores, model_names):
@@ -91,7 +81,7 @@ def assemble_features(scores, model_names):
     try:
         return np.asarray([s for name in model_names for s in scores[name]], dtype=float)
     except KeyError as exc:
-        raise EnsembleError(f"missing scores from model {exc.args[0]!r}") from None
+        raise ValueError(f"missing scores from model {exc.args[0]!r}") from None
 
 
 def _softmax(logits):
@@ -104,7 +94,7 @@ def forward(layer, features):
     """Class probability 3-vector: softmax(W @ x + b)."""
     features = np.asarray(features, dtype=float)
     if features.shape != (layer.weights.shape[1],):
-        raise EnsembleError(
+        raise ValueError(
             f"feature length {features.shape} does not match layer "
             f"input size {layer.weights.shape[1]}")
     return _softmax(layer.weights @ features + layer.bias)
@@ -144,10 +134,10 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
     (VoteLayer, loss trace), the trace holding one pre-update loss per epoch.
     """
     if not examples:
-        raise EnsembleError("no training examples")
+        raise ValueError("no training examples")
     x, y = _design(examples)
     if x.ndim != 2 or x.shape[1] != N_CLASSES * len(model_names):
-        raise EnsembleError(
+        raise ValueError(
             f"feature matrix shape {x.shape} inconsistent with "
             f"{len(model_names)} models")
 
@@ -158,7 +148,7 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, y, config.l2)
         if not np.isfinite(loss):
-            raise TrainingError("non-finite loss", epoch)
+            raise ValueError(f"non-finite loss at epoch {epoch}")
         trace.append(loss)
         weights = weights - config.learning_rate * grad_w
         bias = bias - config.learning_rate * grad_b

@@ -29,17 +29,13 @@ from .corpus import Label
 ALL_ENTAILED = "all-entailed"
 
 
-class TaskBExclusionError(ValueError):
-    pass
-
-
 def find_evidence(statement, view, taska_label):
     """Apply the rule engine to the table of ``view`` (a
     ``textnorm.TableView``); returns a dict mapping each relevant
     ``(row, col)`` to the sorted tuple of ids of the rules that fired there.
     """
     if taska_label == Label.UNKNOWN:
-        raise TaskBExclusionError("Task B excludes unknown statements")
+        raise ValueError("Task B excludes unknown statements")
     n_rows, n_cols = view.n_rows, view.n_cols
     if taska_label == Label.ENTAILED:
         return {(r, c): (ALL_ENTAILED,) for r in range(n_rows) for c in range(n_cols)}

@@ -20,6 +20,8 @@ import functools
 import re
 from importlib import resources
 
+from .corpus import SchemaError
+
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 _VOWELS = frozenset("aeiou")
@@ -29,22 +31,12 @@ _VOWELS = frozenset("aeiou")
 NEGATION_TOKENS = frozenset({"no", "not", "never", "fewer", "less"})
 
 
-class AbbrevError(ValueError):
-    """Raised for malformed or cyclic abbreviation tables."""
-
-
-def _load_lines(name):
-    text = resources.files("tabverify.data").joinpath(name).read_text("utf-8")
-    for raw in text.splitlines():
-        line = raw.rstrip("\n")
-        if not line or line.lstrip().startswith("#"):
-            continue
-        yield line
-
-
 def _load_stem_rules():
     rules = []
-    for line in _load_lines("stem_rules.tsv"):
+    text = resources.files("tabverify.data").joinpath("stem_rules.tsv").read_text("utf-8")
+    for line in text.splitlines():
+        if not line or line.lstrip().startswith("#"):
+            continue
         suffix, repl, min_stem, flag = line.split("\t")
         if not suffix:
             raise ValueError(f"stem rule with an empty suffix: {line!r}")
@@ -68,19 +60,19 @@ def make_abbrev_table(pairs):
     table = {}
     for key, full in pairs:
         if key != key.lower():
-            raise AbbrevError(f"abbreviation key must be lowercase: {key!r}")
+            raise ValueError(f"abbreviation key must be lowercase: {key!r}")
         tokens = tuple(_TOKEN_RE.findall(full.lower()))
         if not tokens:
-            raise AbbrevError(f"empty expansion for {key!r}")
+            raise ValueError(f"empty expansion for {key!r}")
         if key in tokens:
-            raise AbbrevError(f"abbreviation {key!r} expands to itself")
+            raise ValueError(f"abbreviation {key!r} expands to itself")
         table[key] = tokens
     return table
 
 
 def load_abbrev_file(path):
     """Read an abbreviation table: one ``abbrev<TAB>full form`` per line,
-    ``#`` comments and blank lines ignored.  A bad line is an AbbrevError
+    ``#`` comments and blank lines ignored.  A bad line is a SchemaError
     ``"path:line: reason"``."""
     table = {}
     with open(path, "rb") as fh:
@@ -92,10 +84,10 @@ def load_abbrev_file(path):
                 continue
             key, tab, full = line.partition("\t")
             if not tab:
-                raise AbbrevError(f"expected 'abbrev<TAB>full form', got {line!r}")
+                raise ValueError(f"expected 'abbrev<TAB>full form', got {line!r}")
             table.update(make_abbrev_table([(key.strip(), full.strip())]))
-        except ValueError as exc:  # an AbbrevError or a UnicodeDecodeError
-            raise AbbrevError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:  # a bad entry or a UnicodeDecodeError
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
     return table
 
 

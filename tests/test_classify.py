@@ -3,7 +3,7 @@ import re
 import pytest
 
 from tabverify import classify, textnorm
-from tabverify.corpus import Label
+from tabverify.corpus import Label, SchemaError
 from tabverify.textnorm import TableView
 from conftest import make_statement, make_table
 
@@ -91,32 +91,39 @@ class TestScoreFiles:
 
     @pytest.mark.parametrize("line, message", [
         (score_line(scores="[1.0, 2.0]"), "expected 3 scores, got 2"),
-        (score_line(scores="[1.0, NaN, 0.0]"), "scores must be finite numbers"),
+        (score_line(scores="[1.0, NaN, 0.0]"),
+         "scores must be finite numbers, got (1.0, nan, 0.0)"),
         (score_line(model=""), "model must be non-empty"),
-        (score_line(scores="[true, false, 0]"), "scores must be finite numbers"),
-        (score_line(scores=f"[1, 2, {10 ** 400}]"), "scores must be finite numbers"),
+        (score_line(scores="[true, false, 0]"),
+         "scores must be finite numbers, got (True, False, 0)"),
+        (score_line(scores=f"[1, 2, {10 ** 400}]"),
+         f"scores must be finite numbers, got (1, 2, {10 ** 400})"),
     ], ids=["two-scores", "nan", "empty-model", "booleans", "past-float-range"])
     def test_bad_record_rejected(self, tmp_path, line, message):
         path = tmp_path / "scores.jsonl"
         path.write_text(line)
-        with pytest.raises(classify.ScoreFileError, match=f"^{re.escape(str(path))}:1: {message}"):
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:1: {message}')}$"):
             classify.read_scores([path])
 
     def test_wrong_score_count_reports_line(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"model": "m", "table_id": "t", "stmt_id": "s", "scores": [1, 2]}\n')
-        with pytest.raises(classify.ScoreFileError, match="expected 3 scores"):
+        message = f"{path}:1: expected 3 scores, got 2"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             classify.read_scores([path])
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"model": "m", "table_id": "t", "stmt_id": "s", "scores": [1,2,3]}\n{oops\n')
-        with pytest.raises(classify.ScoreFileError, match=":2"):
+        message = (f"{path}:2: invalid JSON: Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)")
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             classify.read_scores([path])
 
     def test_infinite_score_rejected(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"model": "m", "table_id": "t", "stmt_id": "s", '
                         '"scores": [1, Infinity, 3]}\n')
-        with pytest.raises(classify.ScoreFileError):
+        message = f"{path}:1: scores must be finite numbers, got (1, inf, 3)"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             classify.read_scores([path])

@@ -167,6 +167,19 @@ class TestEndToEnd:
             "error: evidence requires a predictions file or --use-gold-taskA\n")
         assert not (tmp_path / "e.jsonl").exists()
 
+    @pytest.mark.parametrize("predictions", [None, "not json\n"], ids=["missing", "garbage"])
+    def test_evidence_with_predictions_and_gold_labels(self, pipeline_dir, tmp_path, capsys,
+                                                       predictions):
+        """The gold labels would be used and the predictions file ignored."""
+        preds = tmp_path / "preds.jsonl"
+        if predictions is not None:
+            preds.write_text(predictions)
+        assert run(["evidence", f"{pipeline_dir}/corpus.jsonl", str(preds),
+                    f"{tmp_path}/e.jsonl", "--use-gold-taskA"]) == 2
+        assert capsys.readouterr().err == (
+            "error: evidence requires a predictions file or --use-gold-taskA, not both\n")
+        assert not (tmp_path / "e.jsonl").exists()
+
     def test_score_without_inputs(self, pipeline_dir, tmp_path, capsys):
         assert run(["score", "--corpus", f"{pipeline_dir}/corpus.jsonl",
                     "--out", f"{tmp_path}/report.json"]) == 2
@@ -176,8 +189,8 @@ class TestEndToEnd:
     def test_evidence_with_gold_labels(self, fixtures_dir, tmp_path):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
         w = str(tmp_path)
-        assert run(["evidence", f"{w}/corpus.jsonl", f"{w}/preds.jsonl",
-                    f"{w}/evidence_gold.jsonl", "--use-gold-taskA"]) == 0
+        assert run(["evidence", f"{w}/corpus.jsonl", f"{w}/evidence_gold.jsonl",
+                    "--use-gold-taskA"]) == 0
         assert run(["score", "--corpus", f"{w}/corpus.jsonl",
                     "--evidence", f"{w}/evidence_gold.jsonl",
                     "--out", f"{w}/report_gold.json"]) == 0
@@ -223,7 +236,7 @@ def not_body_rows(rows):
     """Snapshot line 1 selecting ``rows``, with ``k`` kept at their count."""
     return ("snapshots.jsonl", 1,
             lambda line: set_field("k", len(rows))(set_field("rows", rows)(line)), BASELINE,
-            f"{{w}}/snapshots.jsonl: snapshot rows {rows} for table 't1' statement 's1' "
+            f"{{w}}/snapshots.jsonl:1: snapshot rows {rows} for table 't1' statement 's1' "
             "are not body rows")
 
 
@@ -409,8 +422,8 @@ class TestMutatedInputs:
     @given(data=st.data())
     def test_exit_zero_or_reported(self, pipeline_dir, tmp_path_factory, data):
         """One field of one record set to a value of another type: the
-        subcommand reading the file succeeds or reports `error: ` with exit
-        2, and never raises."""
+        subcommand reading the file succeeds or reports `error: <path>`, a
+        path it was given, with exit 2, and never raises."""
         name = data.draw(st.sampled_from(sorted(READERS)), "file")
         argv = data.draw(st.sampled_from(READERS[name]), "argv")
         text = (pipeline_dir / name).read_text()
@@ -430,7 +443,9 @@ class TestMutatedInputs:
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             code = run(argv)
-        assert code == 0 or (code == 2 and stderr.getvalue().startswith("error: ")), \
+        paths = tuple(f"error: {arg}:" for arg in argv
+                      if arg.startswith((str(pipeline_dir), str(out))))
+        assert code == 0 or (code == 2 and stderr.getvalue().startswith(paths)), \
             (code, stderr.getvalue())
 
 
@@ -530,7 +545,7 @@ EVERY_OPTION = [
      "--out", "{o}/layer.json", "--lr", "0.2", "--epochs", "5", "--l2", "0.01"],
     ["predict", "{w}/scores.jsonl", "--layer", "{w}/layer.json", "--out", "{o}/preds.jsonl",
      "--majority"],
-    ["evidence", "{w}/corpus.jsonl", "{w}/preds.jsonl", "{o}/evidence.jsonl",
+    ["evidence", "{w}/corpus.jsonl", "{o}/evidence.jsonl",
      "--use-gold-taskA", "--abbrev-file", str(ABBREVS), "--trace"],
     ["score", "--corpus", "{w}/corpus.jsonl", "--preds", "{w}/preds.jsonl",
      "--evidence", "{w}/evidence.jsonl", "--out", "{o}/report.json", "--micro"],
@@ -705,11 +720,20 @@ class TestBadOptions:
         assert manifest["options"]["warnings"] == [
             {"table_id": "a", "requested": 3, "appended": 1}]
 
-    @pytest.mark.parametrize("rows", ["0", "-5"])
-    def test_snapshot_rows_r_not_replaced(self, pipeline_dir, tmp_path, capsys, rows):
-        assert run(["snapshot", f"{pipeline_dir}/corpus.jsonl", f"{tmp_path}/snapshots.jsonl",
+    @pytest.mark.parametrize("rows, tables", [
+        ("0", None), ("-5", None), ("0", []), ("0", [make_table([["h"], ["x"]])]),
+    ], ids=["0", "-5", "0-empty-corpus", "0-no-statements"])
+    def test_snapshot_rows_r_not_replaced(self, pipeline_dir, tmp_path, capsys, rows, tables):
+        """Rejected before the corpus is read, so also when no statement
+        would reach the row selection."""
+        corpus_path = f"{pipeline_dir}/corpus.jsonl"
+        if tables is not None:
+            corpus_path = f"{tmp_path}/corpus.jsonl"
+            write_corpus(tables, corpus_path)
+        assert run(["snapshot", corpus_path, f"{tmp_path}/snapshots.jsonl",
                     f"--rows-R={rows}"]) == 2
         assert capsys.readouterr().err == f"error: r_rows must be >= 1, got {rows}\n"
+        assert not (tmp_path / "snapshots.jsonl").exists()
 
     @pytest.mark.parametrize("spec", [",", "x", "0", "1,-2"])
     @pytest.mark.parametrize("argv", [

@@ -41,9 +41,9 @@ class TestParseXml:
         assert doc.statements == ()
 
     def test_malformed_xml_has_position(self):
-        with pytest.raises(cp.ParseError) as exc:
+        with pytest.raises(cp.SchemaError, match=r"^malformed XML: unclosed token: "
+                                                 r"line 1, column 10 \(line 1, column 10\)$"):
             cp.parse_xml(b"<document><table")
-        assert exc.value.line is not None
 
     def test_missing_table_id(self):
         with pytest.raises(cp.SchemaError, match="table id"):
@@ -149,22 +149,24 @@ class TestInterchange:
     def test_version_mismatch(self):
         line = cp.to_interchange(make_table([["a"]])).decode().replace(
             '"format_version": 1', '"format_version": 99')
-        with pytest.raises(cp.DecodeError, match="version"):
+        with pytest.raises(cp.SchemaError, match="^unsupported interchange version: 99$"):
             cp.from_interchange(line)
 
     def test_invalid_json(self):
-        with pytest.raises(cp.DecodeError):
+        with pytest.raises(cp.SchemaError, match=r"^invalid JSON: Expecting property name "
+                                                 r"enclosed in double quotes: line 1 column 2 "
+                                                 r"\(char 1\)$"):
             cp.from_interchange(b"{not json")
 
     def test_empty_evidence_version(self):
         line = cp.to_interchange(make_table([["a"]], statements=[
             make_statement("s", "x", cp.Label.ENTAILED, [{(0, 0)}])])).decode()
         line = line.replace('"evidence": [[[0, 0]]]', '"evidence": [[]]')
-        with pytest.raises(cp.DecodeError, match="'s' has an empty evidence version"):
+        with pytest.raises(cp.SchemaError, match="^statement 's' has an empty evidence version$"):
             cp.from_interchange(line)
 
     def test_missing_field(self):
-        with pytest.raises(cp.DecodeError, match="missing field"):
+        with pytest.raises(cp.SchemaError, match="^missing field 'grid'$"):
             cp.from_interchange(b'{"format_version": 1, "doc_id": "d"}')
 
     def test_corpus_file_round_trip(self, tmp_path):

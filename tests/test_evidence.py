@@ -52,7 +52,7 @@ class TestFindEvidence:
 
     def test_unknown_rejected(self):
         table = make_table([["h"], ["a"]])
-        with pytest.raises(ev.TaskBExclusionError, match="unknown"):
+        with pytest.raises(ValueError, match="^Task B excludes unknown statements$"):
             ev.find_evidence(make_statement("s", "x"), tn.TableView(table), Label.UNKNOWN)
 
     def test_rule1_header_match_marks_column_body(self):
