@@ -7,7 +7,7 @@ reason, or when a mutant's text no longer occurs exactly once in its file.
     python3 scripts/check_mutants.py
 
 A mutant costs one run of the suite at most: about 20 s on 2 cores, and
-about 6 min for the whole list.
+about 7 min for the whole list.
 """
 
 import os
@@ -40,6 +40,14 @@ MUTANTS = [
     ("src/tabverify/classify.py", "NEGATION_FACTOR = 2.0", "NEGATION_FACTOR = 1.0", None),
     ("src/tabverify/ensemble.py", "bias = bias - config.learning_rate * grad_b",
      "bias = bias", None),
+    ("src/tabverify/ensemble.py", "e[:, 0] + e[:, 1] + e[:, 2]",
+     "e[:, 0] + (e[:, 1] + e[:, 2])", None),
+    ("src/tabverify/ensemble.py", "np.cumsum(delta.T, axis=1)[:, -1]",
+     "delta.T.sum(axis=1)",
+     "equivalent: the reduction follows memory order, delta's rows one by one, "
+     "as cumsum does"),
+    ("src/tabverify/ensemble.py", "np.cumsum(delta.T, axis=1)[:, -1]",
+     "np.ascontiguousarray(delta.T).sum(axis=1)", None),
     ("src/tabverify/evidence.py", "if taska_label == Label.ENTAILED:", "if False:", None),
     ("src/tabverify/evidence.py", "for c in header_cols for r in body)",
      "for c in header_cols for r in range(n_rows))", None),

@@ -125,10 +125,13 @@ def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, sta
     return TableDocument(doc_id, table_id, caption, legend, grid, header_rows, statements)
 
 
+_INT = re.compile(r"-?[0-9]+")  # int() also takes "1_0", " 2 ", "\u0663"
+
+
 def _int_attr(elem, name, default=None):
     value = elem.get(name, default)
     try:
-        if not re.fullmatch(r"-?[0-9]+", value):  # int() also takes "1_0", " 2 ", "\u0663"
+        if not _INT.fullmatch(value):
             raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
@@ -146,9 +149,10 @@ def parse_xml(data):
     """Parse one XML table document, bytes or str, into a TableDocument."""
     try:
         root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise SchemaError(f"malformed XML: {exc.msg} (line {line}, column {column})") from exc
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        # The last two: a declared encoding that is unknown, not a text
+        # codec, or multi-byte.  expat's own messages end in the position.
+        raise SchemaError(f"malformed XML: {exc}") from exc
 
     table = root.find("table") if root.tag == "document" else root
     if table is None or table.tag != "table":

@@ -5,6 +5,12 @@ Training is full-batch gradient descent on mean cross-entropy plus an L2
 penalty, from zero initialization.  The objective is convex, so the result
 is deterministic.  Nothing reads TrainConfig.rng_seed; it stays only because
 the saved layer file echoes the config.
+
+An epoch reduces over the 3-wide class axis column by column, not with
+numpy's axis reductions, which loop once per row; it reproduces their
+floats bit for bit.  Prediction is one matrix-vector product per
+statement, not a batch: a batched product takes another BLAS path, its
+logits differ in the last bits, and a near tie could flip.
 """
 
 from __future__ import annotations
@@ -107,23 +113,35 @@ def predict(layer, features):
 
 
 def _design(examples):
-    """Feature matrix and one-hot targets (CLASS_ORDER columns) for a list
-    of (feature vector, gold Label)."""
+    """Feature matrix, one-hot targets (CLASS_ORDER columns) and the flat
+    index of each gold entry in the targets, for a list of (feature vector,
+    gold Label)."""
     x = np.asarray([f for f, _ in examples], dtype=float)
+    gold = np.asarray([CLASS_ORDER.index(label) for _, label in examples], dtype=np.intp)
+    gold_flat = np.arange(len(gold)) * N_CLASSES + gold
     y = np.zeros((len(examples), N_CLASSES))
-    for i, (_, label) in enumerate(examples):
-        y[i, CLASS_ORDER.index(label)] = 1.0
-    return x, y
+    y.flat[gold_flat] = 1.0
+    return x, y, gold_flat
 
 
-def _loss_and_grads(weights, bias, x, y_onehot, l2):
+def _loss_and_grads(weights, bias, x, y_onehot, gold_flat, l2):
+    # Each reduction over the class axis is written column by column and
+    # gives the floats of the numpy axis reduction that the tests hold as
+    # its reference: max is exact; a last-axis sum adds left to right; the
+    # gold probability is taken, not summed with zeros (a NaN fills its
+    # whole softmax row, so the loss is NaN either way); cumsum adds
+    # delta's rows in order, as delta.sum(axis=0) does, where a 1-D .sum()
+    # would add pairwise.
     n = x.shape[0]
-    probs = _softmax(x @ weights.T + bias)
-    ce = -np.mean(np.log(np.clip((probs * y_onehot).sum(axis=1), 1e-300, None)))
+    logits = x @ weights.T + bias
+    e = np.exp(logits - np.maximum(np.maximum(logits[:, 0], logits[:, 1]),
+                                   logits[:, 2])[:, None])
+    probs = e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
+    ce = -np.mean(np.log(np.clip(probs.take(gold_flat), 1e-300, None)))
     loss = ce + l2 * float((weights ** 2).sum())
     delta = (probs - y_onehot) / n
     grad_w = delta.T @ x + 2 * l2 * weights
-    grad_b = delta.sum(axis=0)
+    grad_b = np.cumsum(delta.T, axis=1)[:, -1]
     return loss, grad_w, grad_b
 
 
@@ -135,7 +153,7 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
     """
     if not examples:
         raise ValueError("no training examples")
-    x, y = _design(examples)
+    x, y, gold_flat = _design(examples)
     if x.ndim != 2 or x.shape[1] != N_CLASSES * len(model_names):
         raise ValueError(
             f"feature matrix shape {x.shape} inconsistent with "
@@ -146,7 +164,7 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
     trace = []
     for epoch in range(config.epochs):
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, y, config.l2)
+            loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, y, gold_flat, config.l2)
         if not np.isfinite(loss):
             raise ValueError(f"non-finite loss at epoch {epoch}")
         trace.append(loss)

@@ -84,6 +84,18 @@ class TestParse:
         assert run(["parse", str(src), str(out)]) == 1
         assert len(read_corpus(out)) == 2
 
+    def test_unknown_encoding_is_a_failed_file(self, fixtures_dir, tmp_path, caplog):
+        src = tmp_path / "corpus"
+        src.mkdir()
+        shutil.copy(fixtures_dir / "corpus" / "t1.xml", src / "t1.xml")
+        (src / "bogus.xml").write_bytes(
+            b'<?xml version="1.0" encoding="bogus"?>'
+            b'<document><table id="t"><row><cell text="x"/></row></table></document>')
+        out = tmp_path / "corpus.jsonl"
+        assert run(["parse", str(src), str(out)]) == 1
+        assert [doc.table_id for doc in read_corpus(out)] == ["t1"]
+        assert f"{src / 'bogus.xml'}: malformed XML: unknown encoding: bogus" in caplog.text
+
     def test_repeated_table_id_is_a_failed_file(self, fixtures_dir, tmp_path, caplog):
         src = tmp_path / "corpus"
         shutil.copytree(fixtures_dir / "corpus", src)

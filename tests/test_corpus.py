@@ -41,9 +41,17 @@ class TestParseXml:
         assert doc.statements == ()
 
     def test_malformed_xml_has_position(self):
-        with pytest.raises(cp.SchemaError, match=r"^malformed XML: unclosed token: "
-                                                 r"line 1, column 10 \(line 1, column 10\)$"):
+        with pytest.raises(cp.SchemaError,
+                           match=r"^malformed XML: unclosed token: line 1, column 10$"):
             cp.parse_xml(b"<document><table")
+
+    @pytest.mark.parametrize("encoding", ["bogus", "rot13", "utf-32", "idna"])
+    def test_unreadable_declared_encoding(self, encoding):
+        """Unknown, not a text codec, multi-byte, and failing to decode."""
+        with pytest.raises(cp.SchemaError, match="^malformed XML: "):
+            cp.parse_xml(f'<?xml version="1.0" encoding="{encoding}"?>'
+                         '<document><table id="t"><row><cell text="x"/></row></table></document>'
+                         .encode())
 
     def test_missing_table_id(self):
         with pytest.raises(cp.SchemaError, match="table id"):

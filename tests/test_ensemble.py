@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tabverify import ensemble as ens
+from tabverify.classify import CLASS_ORDER
 from tabverify.corpus import Label
 
 rng = np.random.default_rng(2024)
@@ -201,6 +203,102 @@ class TestGradientCheck:
             denom = max(np.abs(nw).max(), np.abs(nb).max(), 1e-8)
             assert np.abs(gw - nw).max() / denom < 1e-6
             assert np.abs(gb - nb).max() / denom < 1e-6
+
+
+# Training written with numpy's axis reductions: the reference that the
+# column-wise epoch of `ensemble` must reproduce bit for bit.
+def ref_softmax(logits):
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_design(examples):
+    x = np.asarray([f for f, _ in examples], dtype=float)
+    y = np.zeros((len(examples), ens.N_CLASSES))
+    for i, (_, label) in enumerate(examples):
+        y[i, CLASS_ORDER.index(label)] = 1.0
+    return x, y
+
+
+def ref_loss_and_grads(weights, bias, x, y_onehot, l2):
+    n = x.shape[0]
+    probs = ref_softmax(x @ weights.T + bias)
+    ce = -np.mean(np.log(np.clip((probs * y_onehot).sum(axis=1), 1e-300, None)))
+    loss = ce + l2 * float((weights ** 2).sum())
+    delta = (probs - y_onehot) / n
+    grad_w = delta.T @ x + 2 * l2 * weights
+    grad_b = delta.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def ref_train(examples, config, model_names):
+    x, y = ref_design(examples)
+    weights = np.zeros((ens.N_CLASSES, x.shape[1]))
+    bias = np.zeros(ens.N_CLASSES)
+    trace = []
+    for epoch in range(config.epochs):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            loss, grad_w, grad_b = ref_loss_and_grads(weights, bias, x, y, config.l2)
+        if not np.isfinite(loss):
+            raise ValueError(f"non-finite loss at epoch {epoch}")
+        trace.append(loss)
+        weights = weights - config.learning_rate * grad_w
+        bias = bias - config.learning_rate * grad_b
+    return ens.VoteLayer(tuple(model_names), weights, bias), trace
+
+
+def outcome(fit):
+    """Bytes of the trained weights and bias and the hex of every trace
+    value, or the divergence message."""
+    try:
+        layer, trace = fit()
+    except ValueError as exc:
+        return str(exc)
+    return layer.weights.tobytes(), layer.bias.tobytes(), [float(t).hex() for t in trace]
+
+
+@st.composite
+def training_runs(draw):
+    """Examples with ties, zeros and magnitudes up to 1e4, and a config.
+    Rates past 1e3 are drawn too: below that no run of 60 epochs or fewer
+    diverges, and divergence must fail at the same epoch."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 300))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = r.normal(size=(n, 3 * m)) * draw(st.sampled_from([1e-3, 1.0, 30.0, 1e4]))
+    x[r.random(x.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    tied = r.random(x.shape) < draw(st.sampled_from([0.0, 0.3]))
+    x[tied] = r.choice(x.ravel(), size=int(tied.sum()))
+    labels = [CLASS_ORDER[i] for i in r.integers(0, draw(st.integers(1, 3)), size=n)]
+    config = ens.TrainConfig(
+        learning_rate=draw(st.floats(1e-3, 1e3) | st.floats(1e3, 1e308)),
+        epochs=draw(st.integers(1, 60)), l2=draw(st.sampled_from([0.0, 1e-4, 0.1])))
+    return [(x[i], labels[i]) for i in range(n)], config, tuple(f"m{i}" for i in range(m))
+
+
+class TestColumnwiseEpochOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(training_runs())
+    def test_same_bits_as_axis_reductions(self, run):
+        examples, config, names = run
+        with np.errstate(over="ignore", invalid="ignore"):  # the update may overflow
+            expected = outcome(lambda: ref_train(examples, config, names))
+            assert outcome(lambda: ens.train(examples, config, names)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(training_runs(), st.integers(0, 2**32 - 1))
+    def test_loss_and_gradients_equal_reference(self, run, seed):
+        examples, config, names = run
+        r = np.random.default_rng(seed)
+        layer = ens.VoteLayer(names, r.normal(size=(3, 3 * len(names))) * 3,
+                              r.normal(size=3))
+        want_loss, want_w, want_b = ref_loss_and_grads(
+            layer.weights, layer.bias, *ref_design(examples), config.l2)
+        grad_w, grad_b = ens.gradients(layer, examples, config.l2)
+        assert float(ens.loss(layer, examples, config.l2)).hex() == float(want_loss).hex()
+        assert grad_w.tobytes() == want_w.tobytes()
+        assert grad_b.tobytes() == want_b.tobytes()
 
 
 class TestPersistence:
