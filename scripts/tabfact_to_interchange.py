@@ -9,9 +9,9 @@ Expects the TabFact repository layout:
         {"<table>.csv": [[statements...], [labels...], caption], ...}
 
 Labels are 1 -> entailed, 0 -> refuted.  Tables referenced by the JSON but
-missing on disk are skipped with a warning.  This adapter is a one-shot
-conversion utility and is intentionally lenient; it is not covered by the
-package's invariant suite.
+missing on disk, and tables that the corpus model rejects (an empty
+statement, for one), are skipped with a warning.  This adapter is a one-shot
+conversion utility and is intentionally lenient.
 """
 
 import argparse
@@ -19,37 +19,41 @@ import json
 import pathlib
 import sys
 
-from tabverify.corpus import Label, Statement, make_document, to_interchange
+from tabverify.corpus import (Label, SchemaError, Statement, make_document,
+                              write_corpus)
 
 
 def convert(csv_dir, statement_files, out_path):
     tables = {}
     for path in statement_files:
         tables.update(json.loads(pathlib.Path(path).read_text("utf-8")))
-    n_written = n_skipped = 0
-    with open(out_path, "wb") as out:
-        for name, entry in sorted(tables.items()):
-            csv_path = pathlib.Path(csv_dir) / name
-            if not csv_path.exists():
-                print(f"warning: missing table file {csv_path}", file=sys.stderr)
-                n_skipped += 1
-                continue
-            rows = [line.split("#") for line in
-                    csv_path.read_text("utf-8").splitlines() if line]
-            texts, labels = entry[0], entry[1]
-            caption = entry[2] if len(entry) > 2 else ""
-            statements = []
-            for i, (text, label) in enumerate(zip(texts, labels)):
-                statements.append(Statement(
-                    f"s{i}", text,
-                    Label.ENTAILED if label == 1 else Label.REFUTED, None))
-            doc = make_document(
+    docs = []
+    n_skipped = 0
+    for name, entry in sorted(tables.items()):
+        csv_path = pathlib.Path(csv_dir) / name
+        if not csv_path.exists():
+            print(f"warning: missing table file {csv_path}", file=sys.stderr)
+            n_skipped += 1
+            continue
+        rows = [line.split("#") for line in
+                csv_path.read_text("utf-8").splitlines() if line]
+        texts, labels = entry[0], entry[1]
+        caption = entry[2] if len(entry) > 2 else ""
+        statements = []
+        for i, (text, label) in enumerate(zip(texts, labels)):
+            statements.append(Statement(
+                f"s{i}", text,
+                Label.ENTAILED if label == 1 else Label.REFUTED, None))
+        try:
+            docs.append(make_document(
                 doc_id=name, table_id=name.removesuffix(".csv"),
                 caption=caption, legend="", rows_text=rows,
-                header_rows=1, statements=statements)
-            out.write(to_interchange(doc))
-            n_written += 1
-    print(f"wrote {n_written} tables ({n_skipped} skipped) to {out_path}")
+                header_rows=1, statements=statements))
+        except SchemaError as exc:
+            print(f"warning: skipped table {csv_path}: {exc}", file=sys.stderr)
+            n_skipped += 1
+    write_corpus(docs, out_path)
+    print(f"wrote {len(docs)} tables ({n_skipped} skipped) to {out_path}")
 
 
 if __name__ == "__main__":

@@ -65,26 +65,21 @@ def read_scores(paths):
     Records of the files named ``", ".join(paths)``, and the model names in
     order of first appearance.
 
-    A (model, table_id, stmt_id) key may appear once across all the files,
-    and every statement needs a triple from every model; one model's triples
-    may be split across files.  Unknown fields are ignored.  Bad records
-    raise corpus.SchemaError.
+    All the files fill one set of records, so a (model, table_id, stmt_id)
+    key may appear once across them, and every statement needs a triple from
+    every model; one model's triples may be split across files.  Unknown
+    fields are ignored.  Bad records raise corpus.SchemaError.
     """
-    scores = corpus.Records(", ".join(map(str, paths)))
-    sources = {}  # (model, table_id, stmt_id) -> path
+    records = corpus.Records(", ".join(map(str, paths)))
     for path in paths:
-        records = corpus.read_jsonl(path, _score_triple, SCORE_KEY)
-        for key, triple in records.items():
-            if key in sources:
-                raise corpus.SchemaError(
-                    f"{path}: duplicate record for {key}, also in {sources[key]}")
-            sources[key] = path
-            scores.setdefault(key[1:], {})[key[0]] = triple
-    model_names = tuple(dict.fromkeys(model for model, _, _ in sources))
+        corpus.read_jsonl(path, _score_triple, SCORE_KEY, records)
+    scores = corpus.Records(records.path)
+    for (model, table_id, stmt_id), triple in records.items():
+        scores.setdefault((table_id, stmt_id), {})[model] = triple
+    model_names = tuple(dict.fromkeys(model for model, _, _ in records))
     for (table_id, stmt_id), by_model in scores.items():
         if len(by_model) < len(model_names):
             model = next(m for m in model_names if m not in by_model)
-            files = ", ".join(dict.fromkeys(str(p) for k, p in sources.items() if k[0] == model))
-            raise corpus.SchemaError(
-                f"{files}: missing scores from model {model!r} for ({table_id}, {stmt_id})")
+            raise corpus.SchemaError(f"{scores.path}: missing scores from model {model!r} "
+                                     f"for ({table_id}, {stmt_id})")
     return scores, model_names

@@ -274,7 +274,7 @@ def _read_evidence(path, docs):
         evidence.rle_check(runs, *shape)
         return runs, *shape
 
-    return _Evidence(path, corpus.read_jsonl(path, check, STATEMENT_KEY))
+    return corpus.read_jsonl(path, check, STATEMENT_KEY, _Evidence(path))
 
 
 def cmd_score(args):

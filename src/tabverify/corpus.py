@@ -1,6 +1,7 @@
-"""Canonical table/statement model, XML parsing, the line-oriented JSON
-interchange format, corpus statistics, and the file boundary: the one
-JSON-lines reader and writer every pipeline file goes through.
+"""Canonical table/statement model, XML parsing, corpus statistics, and the
+file boundary: the one JSON-lines reader and writer every pipeline file goes
+through.  A corpus file holds one interchange record per table and has no
+codec of its own: ``read_corpus`` and ``write_corpus`` go through them too.
 
 XML schema (one table per file):
 
@@ -219,19 +220,22 @@ class Records(dict):
     key they do not hold raises ``SchemaError("path: no record for key")``;
     ``get``, ``in`` and ``setdefault`` behave as for any dict."""
 
-    def __init__(self, path, *args):
-        super().__init__(*args)
+    def __init__(self, path):
+        super().__init__()
         self.path = path
 
     def __missing__(self, key):
         raise SchemaError(f"{self.path}: no record for {key}")
 
 
-def read_jsonl(path, convert, key):
+def read_jsonl(path, convert, key, records=None):
     """Map each record's ``key`` fields (strings) to ``convert(record)``, in
-    file order, skipping blank lines, as Records of ``path``.  A repeated key
-    and every BAD_INPUT error are raised as ``SchemaError("path:line: reason")``."""
-    records = Records(path)
+    file order, skipping blank lines, into ``records`` (new Records of
+    ``path`` if not given), and return them.  A key already there, from this
+    file or an earlier one, and every BAD_INPUT error are raised as
+    ``SchemaError("path:line: reason")``."""
+    if records is None:
+        records = Records(path)
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -319,32 +323,23 @@ def _document_to_json(doc):
     }
 
 
-def to_interchange(doc):
-    """Serialize one document to a single interchange JSON line (bytes)."""
-    return _jsonl_line(_document_to_json(doc))
-
-
-def from_interchange(data):
-    """Decode one interchange line (bytes or str), or the JSON object parsed
-    from one, into a TableDocument.  Every failure is a SchemaError."""
-    try:
-        obj = data if isinstance(data, dict) else json.loads(data)
-        if json_field(obj, "format_version", int) != INTERCHANGE_VERSION:
-            raise SchemaError(f"unsupported interchange version: {obj['format_version']!r}")
-        grid = json_field(obj, "grid", list, list)
-        "".join(map("".join, grid))  # a TypeError unless every cell is a string
-        return make_document(
-            doc_id=json_field(obj, "doc_id", str),
-            table_id=json_field(obj, "table_id", str),
-            caption=json_field(obj, "caption", str),
-            legend=json_field(obj, "legend", str),
-            rows_text=grid,
-            header_rows=json_field(obj, "header_rows", int),
-            statements=[_statement_from_json(s)
-                        for s in json_field(obj, "statements", list, dict)],
-        )
-    except BAD_INPUT as exc:
-        raise SchemaError(bad_input_reason(exc)) from exc
+def from_interchange(obj):
+    """Decode the JSON object of one interchange line into a TableDocument.
+    Bad input raises one of BAD_INPUT, which read_jsonl reports."""
+    if json_field(obj, "format_version", int) != INTERCHANGE_VERSION:
+        raise SchemaError(f"unsupported interchange version: {obj['format_version']!r}")
+    grid = json_field(obj, "grid", list, list)
+    "".join(map("".join, grid))  # a TypeError unless every cell is a string
+    return make_document(
+        doc_id=json_field(obj, "doc_id", str),
+        table_id=json_field(obj, "table_id", str),
+        caption=json_field(obj, "caption", str),
+        legend=json_field(obj, "legend", str),
+        rows_text=grid,
+        header_rows=json_field(obj, "header_rows", int),
+        statements=[_statement_from_json(s)
+                    for s in json_field(obj, "statements", list, dict)],
+    )
 
 
 def read_corpus(path):

@@ -170,6 +170,8 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
         trace.append(loss)
         weights = weights - config.learning_rate * grad_w
         bias = bias - config.learning_rate * grad_b
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):  # the last update
+        raise ValueError(f"non-finite layer parameters after epoch {epoch}")
     return VoteLayer(tuple(model_names), weights, bias), trace
 
 

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 from hypothesis import strategies as st
 
-from tabverify.corpus import Label, Statement, make_document
+from tabverify.corpus import Label, Statement, make_document, write_corpus
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -20,6 +20,12 @@ def make_statement(stmt_id, text, label=None, evidence=None):
     if evidence is not None:
         versions = tuple(frozenset(v) for v in evidence)
     return Statement(stmt_id, text, label, versions)
+
+
+def corpus_bytes(docs, path):
+    """The bytes ``write_corpus`` writes for ``docs`` at ``path``."""
+    write_corpus(docs, path)
+    return path.read_bytes()
 
 
 @pytest.fixture

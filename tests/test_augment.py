@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tabverify import corpus as cp
 from tabverify.augment import AugmentConfig, _donor_draws, generate_unknown, merge_corpora
-from conftest import make_statement, make_table
+from conftest import corpus_bytes, make_statement, make_table
 
 
 def corpus_of(spec):
@@ -91,22 +91,21 @@ class TestGenerateUnknown:
                    (a[cp.Label.ENTAILED], a[cp.Label.REFUTED])
             assert after.statements[:len(before.statements)] == before.statements
 
-    def test_same_seed_bit_identical(self):
+    def test_same_seed_bit_identical(self, tmp_path):
         docs = corpus_of([("a", ["p q", "r s", "t u"]), ("b", ["m n", "o p"]),
                           ("c", ["x y", "z w", "q r", "s t"])])
         config = AugmentConfig(rng_seed=42)
         out1, _ = generate_unknown(docs, config)
         out2, _ = generate_unknown(docs, config)
-        assert b"".join(cp.to_interchange(d) for d in out1) == \
-               b"".join(cp.to_interchange(d) for d in out2)
+        assert corpus_bytes(out1, tmp_path / "1.jsonl") == corpus_bytes(out2, tmp_path / "2.jsonl")
 
-    def test_different_seed_can_differ(self):
+    def test_different_seed_can_differ(self, tmp_path):
         docs = corpus_of([("a", ["p q", "r s"]), ("b", ["m n", "o p"]),
                           ("c", ["x y", "z w"]), ("d", ["k l", "ij h"])])
         outs = set()
         for seed in range(20):
             out, _ = generate_unknown(docs, AugmentConfig(rng_seed=seed))
-            outs.add(b"".join(cp.to_interchange(d) for d in out))
+            outs.add(corpus_bytes(out, tmp_path / "out.jsonl"))
         assert len(outs) > 1
 
     def test_appended_ids_unique_and_unknown(self):

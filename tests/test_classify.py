@@ -127,3 +127,13 @@ class TestScoreFiles:
         message = f"{path}:1: scores must be finite numbers, got (1, inf, 3)"
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             classify.read_scores([path])
+
+    def test_duplicate_across_files_reports_second_line(self, tmp_path):
+        """Every file fills one set of records, so a key the first file holds
+        is a duplicate at its line in the second."""
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text(score_line())
+        b.write_text(score_line(model="n") + score_line())
+        message = f"{b}:2: duplicate record for ('m', 't', 's')"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            classify.read_scores([a, b])

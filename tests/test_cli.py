@@ -11,7 +11,7 @@ import tracemalloc
 from xml.sax.saxutils import quoteattr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tabverify
 from conftest import FIXTURES, make_statement, make_table
@@ -144,6 +144,19 @@ class TestEndToEnd:
         assert run(["predict", *map(str, halves), "--layer", f"{pipeline_dir}/layer.json",
                     "--out", str(out)]) == 0
         assert out.read_bytes() == (pipeline_dir / "preds.jsonl").read_bytes()
+
+    def test_missing_model_names_every_score_file(self, pipeline_dir, tmp_path, capsys):
+        """Two models split across two files, each file lacking one model's
+        triple for one statement: the error names both files."""
+        lines = (pipeline_dir / "scores.jsonl").read_text().splitlines(keepends=True)
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text("".join(lines[1:]))
+        b.write_text("".join([lines[0], *lines[2:]])
+                     .replace('"model": "lexical"', '"model": "other"'))
+        assert run(["ensemble-train", str(a), str(b), "--corpus", f"{pipeline_dir}/corpus.jsonl",
+                    "--out", f"{tmp_path}/layer.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {a}, {b}: missing scores from model 'other' for (t1, s2)\n")
 
     def test_idempotent_across_runs(self, fixtures_dir, tmp_path):
         a = tmp_path / "a"
@@ -308,8 +321,7 @@ class TestJsonlBoundary:
          SCORE_EVIDENCE, "{w}/evidence.jsonl:1: evidence grid for ('t1', 's1') is 2x6, "
          "table is 4x3"),
         ("scores.jsonl", 1, lambda line: line, ["predict", "{w}/scores.jsonl", *PREDICT[1:]],
-         "{w}/scores.jsonl: duplicate record for ('lexical', 't1', 's1'), "
-         "also in {w}/scores.jsonl"),
+         "{w}/scores.jsonl:1: duplicate record for ('lexical', 't1', 's1')"),
         ("corpus.jsonl", 1, set_field("header_rows", True), STATS,
          "{w}/corpus.jsonl:1: field 'header_rows' must be int, got True"),
         ("snapshots.jsonl", 1, set_field("rows", [True]), BASELINE,
@@ -430,7 +442,10 @@ JSON_VALUES = {
 
 
 class TestMutatedInputs:
-    @settings(max_examples=300, deadline=None)
+    # Each example runs a whole subcommand; on a loaded machine the input
+    # draws alone can exceed Hypothesis' too_slow budget, which says nothing
+    # about the subcommand under test.
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_exit_zero_or_reported(self, pipeline_dir, tmp_path_factory, data):
         """One field of one record set to a value of another type: the

@@ -166,6 +166,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="^non-finite loss at epoch 1$"):
             ens.train(examples, ens.TrainConfig(learning_rate=1e308))
 
+    def test_divergence_in_last_update_names_epoch(self):
+        """The loss is finite before the one update that overflows the weights."""
+        examples = [(np.array([1e4, -1e4, 2e4]), Label.ENTAILED)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^non-finite layer parameters after epoch 0$"):
+                ens.train(examples, ens.TrainConfig(learning_rate=1e307, epochs=1))
+
 
 class TestGradientCheck:
     def numeric_grads(self, layer, examples, l2, step=1e-5):
@@ -245,6 +252,8 @@ def ref_train(examples, config, model_names):
         trace.append(loss)
         weights = weights - config.learning_rate * grad_w
         bias = bias - config.learning_rate * grad_b
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise ValueError(f"non-finite layer parameters after epoch {epoch}")
     return ens.VoteLayer(tuple(model_names), weights, bias), trace
 
 
