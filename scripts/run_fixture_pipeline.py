@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run the full pipeline on the bundled 5-table fixture corpus in a scratch
-directory and print the resulting reports."""
+directory and print the resulting reports.
+
+The tests import ``run_pipeline`` from here, so the pipeline they check is
+the one this script runs."""
 
 import pathlib
 import sys
@@ -18,11 +21,11 @@ def run(argv):
         sys.exit(f"step failed ({code}): {' '.join(argv)}")
 
 
-if __name__ == "__main__":
-    work = pathlib.Path(tempfile.mkdtemp(prefix="tabverify-"))
-    print(f"working in {work}")
-    w = str(work)
-    run(["parse", str(CORPUS), f"{w}/corpus.jsonl"])
+def run_pipeline(corpus_dir, workdir):
+    """Run every stage on the XML tables in ``corpus_dir``, writing into
+    ``workdir``; returns ``workdir``.  A failing stage exits with its argv."""
+    w = str(workdir)
+    run(["parse", str(corpus_dir), f"{w}/corpus.jsonl"])
     run(["stats", f"{w}/corpus.jsonl", "--out", f"{w}/stats.json"])
     run(["augment", f"{w}/corpus.jsonl", f"{w}/augmented.jsonl", "--seed", "7"])
     run(["snapshot", f"{w}/corpus.jsonl", f"{w}/snapshots.jsonl"])
@@ -34,4 +37,11 @@ if __name__ == "__main__":
     run(["evidence", f"{w}/corpus.jsonl", f"{w}/preds.jsonl", f"{w}/evidence.jsonl"])
     run(["score", "--corpus", f"{w}/corpus.jsonl", "--preds", f"{w}/preds.jsonl",
          "--evidence", f"{w}/evidence.jsonl", "--out", f"{w}/report.json"])
+    return workdir
+
+
+if __name__ == "__main__":
+    work = pathlib.Path(tempfile.mkdtemp(prefix="tabverify-"))
+    print(f"working in {work}")
+    run_pipeline(CORPUS, work)
     print(f"report: {work / 'report.json'}")

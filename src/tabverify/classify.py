@@ -20,7 +20,7 @@ CLASS_ORDER = (Label.ENTAILED, Label.REFUTED, Label.UNKNOWN)
 NEGATION_FACTOR = 2.0
 
 
-def lexical_baseline(statement, view, rows, n_values=(1, 2)):
+def lexical_baseline(statement, view, rows, n_values=textnorm.DEFAULT_NGRAMS):
     """Deterministic stand-in classifier over the snapshot ``rows`` of
     ``view`` (a ``textnorm.TableView``).
 

@@ -1,11 +1,12 @@
 """Command-line entry point wiring the pipeline together.
 
 Subcommands: parse, stats, augment, snapshot, baseline, ensemble-train,
-predict, evidence, score.  Every run that writes an output file (all but
-``stats`` without ``--out``) also writes a manifest (<output>.manifest.json)
-recording the subcommand, every parsed option plus the values resolved from
-the input, tool version and timestamp; reruns with identical inputs and
-flags produce identical outputs (manifest timestamp aside).
+predict, evidence, score.  After a subcommand that writes an output file
+(all but ``stats`` without ``--out``), ``main`` writes its manifest
+(<output>.manifest.json): the subcommand, every option on ``args`` (a
+subcommand puts there the values it resolved from its input), tool version
+and timestamp.  Reruns with identical inputs and flags produce identical
+outputs (manifest timestamp aside).
 
 Log level comes from the TABFACT_KIT_LOG environment variable.
 """
@@ -13,6 +14,7 @@ Log level comes from the TABFACT_KIT_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import logging
 import os
@@ -26,18 +28,27 @@ from . import classify, corpus, ensemble, evidence, scoring, snapshot, textnorm
 log = logging.getLogger("tabverify")
 
 
-def _write_manifest(args, **resolved):
-    """Record every parsed option of ``args``, with ``resolved`` values (such
-    as defaults computed from the input) added or put in their place."""
-    options = {k: v for k, v in vars(args).items() if k not in ("fn", "command")}
+def _write_manifest(args):
+    """Record every option on ``args``: those parsed, and the values the
+    subcommand resolved from its input."""
     manifest = {
         "subcommand": args.command,
-        "options": {**options, **resolved},
+        "options": {k: v for k, v in vars(args).items() if k not in ("fn", "command")},
         "output": str(args.out),
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     corpus.write_json(manifest, str(args.out) + ".manifest.json")
+
+
+@contextlib.contextmanager
+def _about(path, error=ValueError):
+    """Report an ``error`` raised inside under ``path``: for the checks that
+    hold of a whole input file, such as its table count."""
+    try:
+        yield
+    except error as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _load_abbrevs(path):
@@ -81,7 +92,6 @@ def cmd_parse(args):
             failures.append(path)
             log.error("%s: %s", path, exc)
     corpus.write_corpus(docs, args.out)
-    _write_manifest(args)
     log.info("wrote %d tables to %s", len(docs), args.out)
     if failures:
         print(f"{len(failures)} file(s) failed to parse", file=sys.stderr)
@@ -104,7 +114,6 @@ def cmd_stats(args):
     print("\n".join(lines))
     if args.out:
         corpus.write_json(stats, args.out)
-        _write_manifest(args)
     return 0
 
 
@@ -115,13 +124,13 @@ def cmd_augment(args):
     config = augment_mod.AugmentConfig(
         rng_seed=args.seed, unknown_ratio=args.ratio,
         guard_threshold=args.guard_threshold)
-    augmented, warnings = augment_mod.generate_unknown(
-        docs, config, _load_abbrevs(args.abbrev_file))
+    abbrevs = _load_abbrevs(args.abbrev_file)
+    with _about(", ".join(filter(None, (args.corpus, args.external)))):
+        augmented, args.warnings = augment_mod.generate_unknown(docs, config, abbrevs)
     corpus.write_corpus(augmented, args.out)
-    for w in warnings:
+    for w in args.warnings:
         log.warning("table %s: appended %d of %d requested unknown statements",
                     w["table_id"], w["appended"], w["requested"])
-    _write_manifest(args, warnings=warnings)
     return 0
 
 
@@ -129,17 +138,18 @@ def cmd_snapshot(args):
     if args.rows_r is not None and args.rows_r < 1:
         raise ValueError(f"r_rows must be >= 1, got {args.rows_r}")
     docs = corpus.read_corpus(args.corpus)
-    r_rows = args.rows_r if args.rows_r is not None else max(1, snapshot.median_row_count(docs))
+    if args.rows_r is None:
+        with _about(args.corpus):
+            args.rows_r = max(1, snapshot.median_row_count(docs))
     abbrevs = _load_abbrevs(args.abbrev_file)
     records = []
     for doc in docs:
         view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
-            rows = snapshot.select_snapshot(view, st, r_rows, args.ngrams)
+            rows = snapshot.select_snapshot(view, st, args.rows_r, args.ngrams)
             records.append({"table_id": doc.table_id, "stmt_id": st.stmt_id,
                             "rows": list(rows), "k": len(rows)})
     corpus.write_jsonl(records, args.out)
-    _write_manifest(args, rows_r=r_rows)
     return 0
 
 
@@ -174,7 +184,6 @@ def cmd_baseline(args):
             scores[(args.model_name, doc.table_id, st.stmt_id)] = classify.lexical_baseline(
                 st, view, rows, args.ngrams)
     classify.write_scores(scores, args.out)
-    _write_manifest(args)
     return 0
 
 
@@ -189,10 +198,12 @@ def cmd_ensemble_train(args):
         log.warning("%s: ignored the scores of %d statement(s) not in %s",
                     scores.path, outside, args.corpus)
     config = ensemble.TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2)
-    layer, trace = ensemble.train(examples, config, model_names)
+    # No examples: the corpus holds no label.  A divergence is the options' doing.
+    with _about(args.corpus) if not examples else contextlib.nullcontext():
+        layer, trace = ensemble.train(examples, config, model_names)
     layer.save(args.out, config)
-    log.info("trained on %d examples; final loss %.6f", len(examples), trace[-1])
-    _write_manifest(args, final_loss=trace[-1])
+    args.final_loss = trace[-1]
+    log.info("trained on %d examples; final loss %.6f", len(examples), args.final_loss)
     return 0
 
 
@@ -212,7 +223,6 @@ def cmd_predict(args):
         records.append({"table_id": table_id, "stmt_id": stmt_id,
                         "label": label.value})
     corpus.write_jsonl(records, args.out)
-    _write_manifest(args)
     return 0
 
 
@@ -246,7 +256,6 @@ def cmd_evidence(args):
             rec["relevant_rle"] = evidence.rle_encode(fired, doc.n_rows, doc.n_cols)
             records.append(rec)
     corpus.write_jsonl(records, args.out)
-    _write_manifest(args)
     return 0
 
 
@@ -281,22 +290,19 @@ def cmd_score(args):
     if not (args.preds or args.evidence):
         raise ValueError("score requires --preds or --evidence")
     docs = corpus.read_corpus(args.corpus)
-    average = "micro" if args.micro else "macro"
+    args.average = "micro" if args.micro else "macro"
     report = {}
     if args.preds:
-        task_a = scoring.score_task_a(_read_predictions(args.preds), docs, average)
+        task_a = scoring.score_task_a(_read_predictions(args.preds), docs, args.average)
         report["task_a"] = task_a
         print(f"task A 2-way F1: {task_a['overall_2way']:.4f}")
         print(f"task A 3-way F1: {task_a['overall_3way']:.4f}")
     if args.evidence:
-        try:
+        with _about(args.corpus, scoring.ScoringError):  # statements sharing a report key
             task_b = scoring.score_task_b(_read_evidence(args.evidence, docs), docs)
-        except scoring.ScoringError as exc:  # two corpus statements share a report key
-            raise scoring.ScoringError(f"{args.corpus}: {exc}") from exc
         report["task_b"] = task_b
         print(f"task B cell F1: {task_b['overall']:.4f}")
     corpus.write_json(report, args.out)
-    _write_manifest(args, average=average)
     return 0
 
 
@@ -330,7 +336,7 @@ def build_parser():
     p.add_argument("corpus")
     p.add_argument("out")
     p.add_argument("--rows-R", dest="rows_r", type=int, default=None)
-    p.add_argument("--ngrams", type=_parse_ngrams, default="1,2")
+    p.add_argument("--ngrams", type=_parse_ngrams, default=textnorm.DEFAULT_NGRAMS)
     p.add_argument("--abbrev-file", default=None)
     p.set_defaults(fn=cmd_snapshot)
 
@@ -338,7 +344,7 @@ def build_parser():
     p.add_argument("corpus")
     p.add_argument("snapshots")
     p.add_argument("out")
-    p.add_argument("--ngrams", type=_parse_ngrams, default="1,2")
+    p.add_argument("--ngrams", type=_parse_ngrams, default=textnorm.DEFAULT_NGRAMS)
     p.add_argument("--abbrev-file", default=None)
     p.add_argument("--model-name", default="lexical")
     p.set_defaults(fn=cmd_baseline)
@@ -386,7 +392,10 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        if args.out:
+            _write_manifest(args)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

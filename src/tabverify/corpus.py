@@ -98,6 +98,8 @@ def _check_statements(grid, statements, table_id):
     n_rows = len(grid)
     n_cols = len(grid[0]) if grid else 0
     for st in statements:
+        if not st.stmt_id:
+            raise SchemaError(f"statement without id in table {table_id!r}")
         if st.stmt_id in seen:
             raise SchemaError(f"duplicate statement id {st.stmt_id!r} in table {table_id!r}")
         seen.add(st.stmt_id)
@@ -171,9 +173,6 @@ def parse_xml(data):
     stmts_elem = table.find("statements")
     if stmts_elem is not None:
         for st in stmts_elem.findall("statement"):
-            stmt_id = st.get("id")
-            if not stmt_id:
-                raise SchemaError(f"statement without id in table {table_id!r}")
             label = None
             if st.get("type") is not None:
                 label = Label.parse(st.get("type"))
@@ -181,7 +180,7 @@ def parse_xml(data):
                 frozenset((_int_attr(c, "row"), _int_attr(c, "col")) for c in ev.findall("cell"))
                 for ev in st.findall("evidence"))
             statements.append(Statement(
-                stmt_id=stmt_id,
+                stmt_id=st.get("id"),
                 text=st.get("text") or (st.text or "").strip(),
                 gold_label=label,
                 gold_evidence=versions or None,

@@ -6,10 +6,11 @@ penalty, from zero initialization.  The objective is convex, so the result
 is deterministic.  Nothing reads TrainConfig.rng_seed; it stays only because
 the saved layer file echoes the config.
 
-An epoch reduces over the 3-wide class axis column by column, not with
-numpy's axis reductions, which loop once per row; it reproduces their
-floats bit for bit.  Prediction is one matrix-vector product per
-statement, not a batch: a batched product takes another BLAS path, its
+Training and prediction share one softmax.  Like the rest of an epoch, it
+reduces over the 3-wide class axis column by column, not with numpy's axis
+reductions, which loop once per row; it reproduces their floats bit for
+bit.  Prediction runs it on one statement's logit row, one matrix-vector
+product, not a batch: a batched product takes another BLAS path, its
 logits differ in the last bits, and a near tie could flip.
 """
 
@@ -91,9 +92,11 @@ def assemble_features(scores, model_names):
 
 
 def _softmax(logits):
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of an (n, 3) logit matrix, column by column: max is
+    exact, and the sum adds left to right as a last-axis sum does."""
+    e = np.exp(logits - np.maximum(np.maximum(logits[:, 0], logits[:, 1]),
+                                   logits[:, 2])[:, None])
+    return e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
 
 
 def forward(layer, features):
@@ -103,7 +106,7 @@ def forward(layer, features):
         raise ValueError(
             f"feature length {features.shape} does not match layer "
             f"input size {layer.weights.shape[1]}")
-    return _softmax(layer.weights @ features + layer.bias)
+    return _softmax((layer.weights @ features + layer.bias)[None])[0]
 
 
 def predict(layer, features):
@@ -125,18 +128,13 @@ def _design(examples):
 
 
 def _loss_and_grads(weights, bias, x, y_onehot, gold_flat, l2):
-    # Each reduction over the class axis is written column by column and
-    # gives the floats of the numpy axis reduction that the tests hold as
-    # its reference: max is exact; a last-axis sum adds left to right; the
-    # gold probability is taken, not summed with zeros (a NaN fills its
-    # whole softmax row, so the loss is NaN either way); cumsum adds
-    # delta's rows in order, as delta.sum(axis=0) does, where a 1-D .sum()
-    # would add pairwise.
+    # Each reduction gives the floats of the numpy axis reduction that the
+    # tests hold as its reference: the gold probability is taken, not summed
+    # with zeros (a NaN fills its whole softmax row, so the loss is NaN
+    # either way); cumsum adds delta's rows in order, as delta.sum(axis=0)
+    # does, where a 1-D .sum() would add pairwise.
     n = x.shape[0]
-    logits = x @ weights.T + bias
-    e = np.exp(logits - np.maximum(np.maximum(logits[:, 0], logits[:, 1]),
-                                   logits[:, 2])[:, None])
-    probs = e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
+    probs = _softmax(x @ weights.T + bias)
     ce = -np.mean(np.log(np.clip(probs.take(gold_flat), 1e-300, None)))
     loss = ce + l2 * float((weights ** 2).sum())
     delta = (probs - y_onehot) / n

@@ -41,15 +41,14 @@ def find_evidence(statement, view, taska_label):
         return {(r, c): (ALL_ENTAILED,) for r in range(n_rows) for c in range(n_cols)}
 
     bag = set(textnorm.normalize(statement.text, view.abbrevs))
-    header_rows = min(view.header_rows, n_rows)
-    body = range(header_rows, n_rows)
+    body = view.body_row_indices
     by_rule = {"1": set(), "2": set(), "3": set(), "4": set()}
     for word in bag:
         # Only the cells holding the word can fire; a word no cell holds
         # fires nothing.
         cells = view.cell_index.get(word, ())
-        header_cols = {c for r, c in cells if r < header_rows}
-        label_rows = {r for r, c in cells if c == 0 and r >= header_rows}
+        header_cols = {c for r, c in cells if r not in body}
+        label_rows = {r for r, c in cells if c == 0 and r in body}
         by_rule["1"].update((r, c) for c in header_cols for r in body)
         by_rule["2"].update((r, c) for r in label_rows for c in range(n_cols))
         by_rule["3"].update((r, c) for r in label_rows for c in header_cols)

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from . import textnorm
 
-DEFAULT_NGRAMS = (1, 2)
-
 
 def median_row_count(corpus):
     """Median body-row count across the corpus.
@@ -20,7 +18,7 @@ def median_row_count(corpus):
     return counts[(len(counts) - 1) // 2]
 
 
-def select_snapshot(view, statement, r_rows, n_values=DEFAULT_NGRAMS):
+def select_snapshot(view, statement, r_rows, n_values=textnorm.DEFAULT_NGRAMS):
     """The chosen body rows of ``view`` (a ``textnorm.TableView``), as an
     ascending tuple of grid row indices.
 

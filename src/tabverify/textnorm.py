@@ -30,6 +30,8 @@ _VOWELS = frozenset("aeiou")
 # through the same normalization as everything else.
 NEGATION_TOKENS = frozenset({"no", "not", "never", "fewer", "less"})
 
+DEFAULT_NGRAMS = (1, 2)  # n-gram sizes of snapshot ranking and the lexical baseline
+
 
 def _load_stem_rules():
     rules = []
@@ -150,7 +152,7 @@ def normalize(text, abbrevs=None):
     return [stem(tok) for tok in tokens]
 
 
-def ngram_set(tokens, n_values=(1, 2)):
+def ngram_set(tokens, n_values=DEFAULT_NGRAMS):
     """All contiguous n-token windows for each n, as a set of tuples."""
     grams = set()
     for n in n_values:

@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 from tabverify.corpus import Label, Statement, make_document, write_corpus
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+# The tests run the fixture pipeline of scripts/run_fixture_pipeline.py.
+sys.path.insert(0, str(FIXTURES.parent.parent / "scripts"))
 
 
 def make_table(rows, table_id="t", header_rows=1, statements=(), doc_id="d",

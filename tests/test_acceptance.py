@@ -21,7 +21,7 @@ from tabverify.snapshot import select_snapshot
 from tabverify.textnorm import TableView
 
 from conftest import corpus_bytes, make_statement, make_table
-from test_cli import run_pipeline
+from run_fixture_pipeline import run_pipeline
 import test_ensemble
 from test_ensemble import planted_separable, random_examples
 from test_evidence import brute_force as evidence_brute_force, random_case

@@ -15,34 +15,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tabverify
 from conftest import FIXTURES, make_statement, make_table
-from tabverify import cli, evidence
+from run_fixture_pipeline import run_pipeline
+from tabverify import classify, cli, evidence
 from tabverify.corpus import Label, parse_xml, read_corpus, write_corpus
 
 
 def run(argv):
     return cli.main(argv)
-
-
-def run_pipeline(corpus_dir, workdir, seed=7):
-    """The full fixture pipeline; returns the workdir."""
-    w = str(workdir)
-    assert run(["parse", str(corpus_dir), f"{w}/corpus.jsonl"]) == 0
-    assert run(["stats", f"{w}/corpus.jsonl", "--out", f"{w}/stats.json"]) == 0
-    assert run(["augment", f"{w}/corpus.jsonl", f"{w}/augmented.jsonl",
-                "--seed", str(seed)]) == 0
-    assert run(["snapshot", f"{w}/corpus.jsonl", f"{w}/snapshots.jsonl"]) == 0
-    assert run(["baseline", f"{w}/corpus.jsonl", f"{w}/snapshots.jsonl",
-                f"{w}/scores.jsonl"]) == 0
-    assert run(["ensemble-train", f"{w}/scores.jsonl",
-                "--corpus", f"{w}/corpus.jsonl", "--out", f"{w}/layer.json"]) == 0
-    assert run(["predict", f"{w}/scores.jsonl", "--layer", f"{w}/layer.json",
-                "--out", f"{w}/preds.jsonl"]) == 0
-    assert run(["evidence", f"{w}/corpus.jsonl", f"{w}/preds.jsonl",
-                f"{w}/evidence.jsonl"]) == 0
-    assert run(["score", "--corpus", f"{w}/corpus.jsonl",
-                "--preds", f"{w}/preds.jsonl", "--evidence", f"{w}/evidence.jsonl",
-                "--out", f"{w}/report.json"]) == 0
-    return workdir
 
 
 SUBCOMMANDS = ["parse", "stats", "augment", "snapshot", "baseline",
@@ -775,3 +754,42 @@ class TestBadOptions:
         assert (f"argument --ngrams: expected comma-separated integers >= 1, got {spec!r}"
                 in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
+
+
+class TestWholeCorpusErrors:
+    """A check that holds of a whole corpus, not of one record, names the
+    corpus file."""
+
+    def test_snapshot_of_empty_corpus(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus([], corpus_path)
+        assert run(["snapshot", str(corpus_path), f"{tmp_path}/snapshots.jsonl"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus_path}: median_row_count requires a non-empty corpus\n")
+        assert not (tmp_path / "snapshots.jsonl").exists()
+
+    @pytest.mark.parametrize("external", [False, True], ids=["corpus", "with-external"])
+    def test_augment_of_one_table(self, tmp_path, capsys, external):
+        """With ``--external`` the two files hold the tables together."""
+        corpus_path, external_path = tmp_path / "corpus.jsonl", tmp_path / "external.jsonl"
+        write_corpus([make_table([["h"], ["x"]])], corpus_path)
+        write_corpus([], external_path)
+        argv = ["augment", str(corpus_path), f"{tmp_path}/augmented.jsonl"]
+        paths = str(corpus_path)
+        if external:
+            argv += ["--external", str(external_path)]
+            paths += f", {external_path}"
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths}: generate_unknown requires at least 2 tables\n")
+        assert not (tmp_path / "augmented.jsonl").exists()
+
+    def test_ensemble_train_without_labels(self, tmp_path, capsys):
+        corpus_path, scores = tmp_path / "corpus.jsonl", tmp_path / "scores.jsonl"
+        write_corpus([make_table([["h"], ["x"]], table_id="t1",
+                                 statements=[make_statement("s1", "x")])], corpus_path)
+        classify.write_scores({("lexical", "t1", "s1"): (0.5, 0.0, 0.5)}, scores)
+        assert run(["ensemble-train", str(scores), "--corpus", str(corpus_path),
+                    "--out", f"{tmp_path}/layer.json"]) == 2
+        assert capsys.readouterr().err == f"error: {corpus_path}: no training examples\n"
+        assert not (tmp_path / "layer.json").exists()

@@ -197,6 +197,14 @@ class TestInterchange:
         line = line.replace('"evidence": [[[0, 0]]]', '"evidence": [[]]')
         assert read_error(path, line) == f"{path}:1: statement 's' has an empty evidence version"
 
+    def test_statement_without_id(self, tmp_path):
+        """The rule that parse_xml applies to XML holds for interchange too."""
+        path = tmp_path / "corpus.jsonl"
+        line = corpus_line(path, make_table([["a"]], table_id="t1", statements=[
+            make_statement("s1", "x", cp.Label.ENTAILED)]))
+        line = line.replace('"stmt_id": "s1"', '"stmt_id": ""')
+        assert read_error(path, line) == f"{path}:1: statement without id in table 't1'"
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         assert read_error(path, '{"format_version": 1, "doc_id": "d", "table_id": "t"}\n') == \

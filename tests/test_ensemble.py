@@ -310,6 +310,38 @@ class TestColumnwiseEpochOracle:
         assert grad_b.tobytes() == want_b.tobytes()
 
 
+@st.composite
+def layers_and_features(draw):
+    """A layer and a feature vector whose logits reach magnitudes of 1e4 and
+    may tie: classes whose weight rows are equal get equal biases (an exact
+    tie) or biases one ulp apart each (a near tie)."""
+    m = draw(st.integers(1, 3))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e4]))
+    weights = r.normal(size=(3, 3 * m)) / (3 * m)
+    bias = r.normal(size=3) * scale
+    tied = draw(st.sampled_from([(), (0, 1), (0, 2), (1, 2), (0, 1, 2)]))
+    near = draw(st.booleans())
+    for prev, k in zip(tied, tied[1:]):
+        weights[k] = weights[prev]
+        bias[k] = np.nextafter(bias[prev], draw(st.sampled_from([-np.inf, np.inf]))) \
+            if near else bias[prev]
+    layer = ens.VoteLayer(tuple(f"m{i}" for i in range(m)), weights, bias)
+    return layer, r.normal(size=3 * m) * scale
+
+
+class TestSoftmaxOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(layers_and_features())
+    def test_forward_and_predict_equal_reference(self, case):
+        """The epoch's column-wise softmax, run on one logit row, gives the
+        bits of the axis-reduction softmax."""
+        layer, x = case
+        probs = ref_softmax(layer.weights @ x + layer.bias)
+        assert ens.forward(layer, x).tobytes() == probs.tobytes()
+        assert ens.predict(layer, x) == CLASS_ORDER[int(np.argmax(probs))]
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         layer = ens.VoteLayer(("a", "b"), rng.normal(size=(3, 6)), rng.normal(size=3))
