@@ -7,7 +7,7 @@ reason, or when a mutant's text no longer occurs exactly once in its file.
     python3 scripts/check_mutants.py
 
 A mutant costs one run of the suite at most: about 20 s on 2 cores, and
-about 7 min for the whole list.
+about 13 min for the whole list.
 """
 
 import os
@@ -59,6 +59,12 @@ MUTANTS = [
     ("src/tabverify/scoring.py", "key=lambda prf: prf[2])", "key=lambda prf: prf[0])", None),
     ("src/tabverify/scoring.py", "if g in two_way]", "]", None),
     ("src/tabverify/scoring.py", "sum(stmt_scores) / len(stmt_scores)", "max(stmt_scores)", None),
+    ("src/tabverify/corpus.py", "max(map(len, rows_text), default=0)",
+     "max(map(len, rows_text), default=0) + 1", None),
+    ("src/tabverify/corpus.py", '    "".join(map("".join, grid))  # a TypeError unless',
+     "    # a TypeError unless", None),
+    ("src/tabverify/augment.py", '" ".join([*map(" ".join, doc.grid), doc.caption])',
+     '"".join([*map(" ".join, doc.grid), doc.caption])', None),
 ]
 
 

@@ -50,8 +50,11 @@ def merge_corpora(base, external):
 
 
 def _table_unigram_bag(doc, abbrevs):
-    cell_tokens = textnorm.TableView(doc, abbrevs).cell_index
-    return set(cell_tokens).union(textnorm.normalize(doc.caption, abbrevs))
+    """The normalized tokens of the table's cells and caption.  One call
+    over the texts joined by spaces gives the union of the per-text sets:
+    no token spans a space, and abbreviations and stemming act on one token
+    at a time."""
+    return set(textnorm.normalize(" ".join([*map(" ".join, doc.grid), doc.caption]), abbrevs))
 
 
 def _donor_draws(rng, pool_size, eligible):

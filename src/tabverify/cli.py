@@ -119,13 +119,13 @@ def cmd_stats(args):
 
 def cmd_augment(args):
     docs = corpus.read_corpus(args.corpus)
-    if args.external:
-        docs = augment_mod.merge_corpora(docs, corpus.read_corpus(args.external))
+    external = corpus.read_corpus(args.external) if args.external else []
     config = augment_mod.AugmentConfig(
         rng_seed=args.seed, unknown_ratio=args.ratio,
         guard_threshold=args.guard_threshold)
     abbrevs = _load_abbrevs(args.abbrev_file)
     with _about(", ".join(filter(None, (args.corpus, args.external)))):
+        docs = augment_mod.merge_corpora(docs, external)
         augmented, args.warnings = augment_mod.generate_unknown(docs, config, abbrevs)
     corpus.write_corpus(augmented, args.out)
     for w in args.warnings:
@@ -188,9 +188,10 @@ def cmd_baseline(args):
 
 
 def cmd_ensemble_train(args):
-    docs = corpus.read_corpus(args.corpus)
+    # Keep the labels only: no Statement stays in memory while training.
+    gold = {(doc.table_id, st.stmt_id): st.gold_label
+            for doc in corpus.read_statements(args.corpus) for st in doc.statements}
     scores, model_names = classify.read_scores(args.scores)
-    gold = {(doc.table_id, st.stmt_id): st.gold_label for doc in docs for st in doc.statements}
     examples = [(ensemble.assemble_features(scores[key], model_names), gold[key])
                 for key in sorted(gold) if gold[key]]
     outside = sum(key not in gold for key in scores)
@@ -289,7 +290,7 @@ def _read_evidence(path, docs):
 def cmd_score(args):
     if not (args.preds or args.evidence):
         raise ValueError("score requires --preds or --evidence")
-    docs = corpus.read_corpus(args.corpus)
+    docs = corpus.read_statements(args.corpus)
     args.average = "micro" if args.micro else "macro"
     report = {}
     if args.preds:

@@ -3,6 +3,14 @@ file boundary: the one JSON-lines reader and writer every pipeline file goes
 through.  A corpus file holds one interchange record per table and has no
 codec of its own: ``read_corpus`` and ``write_corpus`` go through them too.
 
+Both corpus readers decode a record with ``_decode`` and run every check on
+it, cells being strings included; they differ only in what they keep.
+``read_corpus`` keeps each TableDocument, grid and all: the stages that
+read cell text (stats, augment, snapshot, baseline, evidence) use it.
+``read_statements`` keeps a TableStatements, the table's id, header rows,
+shape and statements: ``ensemble-train`` and ``score`` use it, and hold no
+cell text.
+
 XML schema (one table per file):
 
     <document id="...">
@@ -87,17 +95,33 @@ class TableDocument:
         return range(min(self.header_rows, self.n_rows), self.n_rows)
 
 
+@dataclass(frozen=True)
+class TableStatements:
+    """What ``read_statements`` keeps of one table: the TableDocument of the
+    same record without its doc_id, caption, legend and grid."""
+    table_id: str
+    header_rows: int
+    n_rows: int
+    n_cols: int
+    statements: tuple  # tuple of Statement
+
+
 def _build_grid(rows_text):
     """Pad ragged rows on the right with empty strings."""
     width = max((len(r) for r in rows_text), default=0)
     return tuple(tuple(texts) + ("",) * (width - len(texts)) for texts in rows_text)
 
 
-def _check_statements(grid, statements, table_id):
+def _check_table(table):
+    """Enforce the invariants of a TableDocument or TableStatements: only
+    its id, header rows, shape and statements are read."""
+    if not table.table_id:
+        raise SchemaError("missing table id")
+    if table.header_rows < 0:
+        raise SchemaError("header_rows must be >= 0")
+    table_id, n_rows, n_cols = table.table_id, table.n_rows, table.n_cols
     seen = set()
-    n_rows = len(grid)
-    n_cols = len(grid[0]) if grid else 0
-    for st in statements:
+    for st in table.statements:
         if not st.stmt_id:
             raise SchemaError(f"statement without id in table {table_id!r}")
         if st.stmt_id in seen:
@@ -118,14 +142,20 @@ def _check_statements(grid, statements, table_id):
 
 def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, statements):
     """Assemble a TableDocument, enforcing all structural invariants."""
-    if not table_id:
-        raise SchemaError("missing table id")
-    if header_rows < 0:
-        raise SchemaError("header_rows must be >= 0")
-    grid = _build_grid(rows_text)
-    statements = tuple(statements)
-    _check_statements(grid, statements, table_id)
-    return TableDocument(doc_id, table_id, caption, legend, grid, header_rows, statements)
+    doc = TableDocument(doc_id, table_id, caption, legend, _build_grid(rows_text),
+                        header_rows, tuple(statements))
+    _check_table(doc)
+    return doc
+
+
+def _make_table_statements(doc_id, table_id, caption, legend, rows_text, header_rows,
+                           statements):
+    """The TableStatements of the TableDocument that make_document would
+    assemble, checked as it is."""
+    table = TableStatements(table_id, header_rows, len(rows_text),
+                            max(map(len, rows_text), default=0), tuple(statements))
+    _check_table(table)
+    return table
 
 
 _INT = re.compile(r"-?[0-9]+")  # int() also takes "1_0", " 2 ", "\u0663"
@@ -322,14 +352,15 @@ def _document_to_json(doc):
     }
 
 
-def from_interchange(obj):
-    """Decode the JSON object of one interchange line into a TableDocument.
-    Bad input raises one of BAD_INPUT, which read_jsonl reports."""
+def _decode(obj, make):
+    """Check the JSON object of one interchange line and pass its fields to
+    ``make``: make_document or _make_table_statements.  Bad input raises one
+    of BAD_INPUT, which read_jsonl reports."""
     if json_field(obj, "format_version", int) != INTERCHANGE_VERSION:
         raise SchemaError(f"unsupported interchange version: {obj['format_version']!r}")
     grid = json_field(obj, "grid", list, list)
     "".join(map("".join, grid))  # a TypeError unless every cell is a string
-    return make_document(
+    return make(
         doc_id=json_field(obj, "doc_id", str),
         table_id=json_field(obj, "table_id", str),
         caption=json_field(obj, "caption", str),
@@ -341,9 +372,21 @@ def from_interchange(obj):
     )
 
 
+def from_interchange(obj):
+    """Decode the JSON object of one interchange line into a TableDocument."""
+    return _decode(obj, make_document)
+
+
 def read_corpus(path):
     """Read a corpus: one interchange line per table, table ids unique."""
     return list(read_jsonl(path, from_interchange, ("table_id",)).values())
+
+
+def read_statements(path):
+    """Read a corpus with every check of ``read_corpus``, keeping each
+    table's TableStatements: no cell text stays in memory."""
+    return list(read_jsonl(path, lambda obj: _decode(obj, _make_table_statements),
+                           ("table_id",)).values())
 
 
 def write_corpus(docs, path):

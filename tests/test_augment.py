@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tabverify import corpus as cp
-from tabverify.augment import AugmentConfig, _donor_draws, generate_unknown, merge_corpora
+from tabverify import corpus as cp, textnorm
+from tabverify.augment import (AugmentConfig, _donor_draws, _table_unigram_bag,
+                               generate_unknown, merge_corpora)
 from conftest import corpus_bytes, make_statement, make_table
 
 
@@ -211,3 +212,28 @@ class TestGenerateUnknown:
             s = len(before.statements)
             added = len(after.statements) - s
             assert added <= math.floor(s * ratio)
+
+
+# Letters whose lowercase is ASCII (the Kelvin sign, dotted capital I) or
+# depends on the next letter (capital sigma: final or not), abbreviation keys
+# and the separators around them.
+BAG_TEXT = st.lists(st.sampled_from(
+    ["K", "\u212a", "\u03a3", "\u0391", "\u0130", "i", "s", "no", "max", "pts", "ing",
+     "0", " ", ".", "-"]), max_size=8).map("".join) | st.text(max_size=6)
+
+
+class TestTableUnigramBag:
+    @given(st.lists(st.lists(BAG_TEXT, max_size=4), max_size=4), BAG_TEXT,
+           st.sampled_from([None, textnorm.default_abbrevs()]))
+    @settings(max_examples=300, deadline=None)
+    @example([["\u212aelvin"], ["\u0391\u03a3", "\u03a3\u0391"]], "\u0130stanbul",
+             textnorm.default_abbrevs())
+    @example([["\u212aelvin"], ["\u0391\u03a3", "\u03a3\u0391"]], "\u0130stanbul", None)
+    def test_equals_union_of_cell_sets(self, rows, caption, abbrevs):
+        """One normalize over the texts joined by spaces gives the tokens of
+        every cell and of the caption, normalized one by one."""
+        doc = make_table(rows, caption=caption)
+        cells = [cell for row in doc.grid for cell in row]
+        expected = set().union(*(textnorm.normalize(text, abbrevs)
+                                 for text in [*cells, caption]))
+        assert _table_unigram_bag(doc, abbrevs) == expected

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -16,8 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import tabverify
 from conftest import FIXTURES, make_statement, make_table
 from run_fixture_pipeline import run_pipeline
-from tabverify import classify, cli, evidence
-from tabverify.corpus import Label, parse_xml, read_corpus, write_corpus
+from tabverify import classify, cli, ensemble, evidence
+from tabverify.corpus import Label, Statement, parse_xml, read_corpus, write_corpus
 
 
 def run(argv):
@@ -236,6 +237,40 @@ def set_first_evidence(cells):
     return rewrite
 
 
+def set_cell(row, col, value):
+    def rewrite(line):
+        record = json.loads(line)
+        record["grid"][row][col] = value
+        return json.dumps(record)
+    return rewrite
+
+
+# Rewrites of corpus line 1 (table t1, 4x3) that every corpus reader rejects,
+# with the reason it gives.
+BAD_CORPUS_LINE = {
+    "grid-type": (set_field("grid", 5), "field 'grid' must be list of list, got 5"),
+    "header-rows-type": (set_field("header_rows", "1"),
+                         "field 'header_rows' must be int, got '1'"),
+    "header-rows-bool": (set_field("header_rows", True),
+                         "field 'header_rows' must be int, got True"),
+    "statements-null": (set_field("statements", None),
+                        "field 'statements' must be list of dict, got None"),
+    "evidence-cell-bool": (set_first_evidence([[True, 0]]),
+                           "statement 's1' evidence cell (True, 0) out of bounds"),
+    "cell-not-string": (set_cell(1, 2, 7), "sequence item 2: expected str instance, int found"),
+    "evidence-cell-past-last-column": (set_first_evidence([[0, 3]]),
+                                       "statement 's1' evidence cell (0, 3) out of bounds"),
+    "evidence-cell-past-last-row": (set_first_evidence([[4, 0]]),
+                                    "statement 's1' evidence cell (4, 0) out of bounds"),
+    "format-version": (set_field("format_version", 2), "unsupported interchange version: 2"),
+}
+
+
+def bad_corpus_line(case):
+    rewrite, reason = BAD_CORPUS_LINE[case]
+    return ("corpus.jsonl", 1, rewrite, STATS, "{w}/corpus.jsonl:1: " + reason)
+
+
 def not_body_rows(rows):
     """Snapshot line 1 selecting ``rows``, with ``k`` kept at their count."""
     return ("snapshots.jsonl", 1,
@@ -271,12 +306,9 @@ class TestJsonlBoundary:
          "{w}/evidence.jsonl:3: duplicate record for ('t1', 's2')"),
         ("corpus.jsonl", 1, lambda line: line + "\n" + line,
          SCORE_PREDS, "{w}/corpus.jsonl:2: duplicate table_id 't1'"),
-        ("corpus.jsonl", 1, set_field("grid", 5), STATS,
-         "{w}/corpus.jsonl:1: field 'grid' must be list of list, got 5"),
-        ("corpus.jsonl", 1, set_field("header_rows", "1"), STATS,
-         "{w}/corpus.jsonl:1: field 'header_rows' must be int, got '1'"),
-        ("corpus.jsonl", 1, set_field("statements", None), STATS,
-         "{w}/corpus.jsonl:1: field 'statements' must be list of dict, got None"),
+        bad_corpus_line("grid-type"),
+        bad_corpus_line("header-rows-type"),
+        bad_corpus_line("statements-null"),
         ("corpus.jsonl", 2, lambda line: "[1]", STATS,
          "{w}/corpus.jsonl:2: expected a JSON object, got [1]"),
         ("scores.jsonl", 1, set_field("scores", 5), PREDICT,
@@ -301,14 +333,12 @@ class TestJsonlBoundary:
          "table is 4x3"),
         ("scores.jsonl", 1, lambda line: line, ["predict", "{w}/scores.jsonl", *PREDICT[1:]],
          "{w}/scores.jsonl:1: duplicate record for ('lexical', 't1', 's1')"),
-        ("corpus.jsonl", 1, set_field("header_rows", True), STATS,
-         "{w}/corpus.jsonl:1: field 'header_rows' must be int, got True"),
+        bad_corpus_line("header-rows-bool"),
         ("snapshots.jsonl", 1, set_field("rows", [True]), BASELINE,
          "{w}/snapshots.jsonl:1: field 'rows' must be list of int, got [True]"),
         ("scores.jsonl", 1, set_field("scores", [True, False, 0]), PREDICT,
          "{w}/scores.jsonl:1: scores must be finite numbers, got (True, False, 0)"),
-        ("corpus.jsonl", 1, set_first_evidence([[True, 0]]), STATS,
-         "{w}/corpus.jsonl:1: statement 's1' evidence cell (True, 0) out of bounds"),
+        bad_corpus_line("evidence-cell-bool"),
         missing_model(PREDICT),
         missing_model([*PREDICT, "--majority"]),
         missing_model(["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
@@ -345,6 +375,29 @@ class TestJsonlBoundary:
         assert run([arg.format(w=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(w=tmp_path)), err
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "{c}", "--out", "{o}/stats.json"],
+        ["ensemble-train", "{w}/scores.jsonl", "--corpus", "{c}", "--out", "{o}/layer.json"],
+        ["score", "--corpus", "{c}", "--preds", "{w}/preds.jsonl",
+         "--evidence", "{w}/evidence.jsonl", "--out", "{o}/report.json"],
+    ], ids=["stats", "ensemble-train", "score"])
+    @pytest.mark.parametrize("case", sorted(BAD_CORPUS_LINE))
+    def test_statement_read_keeps_every_check(self, pipeline_dir, tmp_path, capsys,
+                                              case, argv):
+        """`ensemble-train` and `score`, which keep no cell text, reject a
+        bad corpus line as `stats` does, with the same error line."""
+        rewrite, reason = BAD_CORPUS_LINE[case]
+        lines = (pipeline_dir / "corpus.jsonl").read_text().splitlines()
+        lines[0] = rewrite(lines[0])
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run([arg.format(c=path, w=pipeline_dir, o=out) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: {reason}\n"
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("rewrite, message", [
         (lambda layer: json.dumps(layer)[:-1], "invalid JSON: "),
@@ -453,6 +506,40 @@ class TestMutatedInputs:
                       if arg.startswith((str(pipeline_dir), str(out))))
         assert code == 0 or (code == 2 and stderr.getvalue().startswith(paths)), \
             (code, stderr.getvalue())
+
+
+class TestStatementRead:
+    def test_train_and_score_decode_no_cells(self, pipeline_dir, fixtures_dir, tmp_path,
+                                             monkeypatch):
+        """`ensemble-train` and `score` read the corpus's statements only:
+        they write the frozen outputs without building a TableDocument."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus's cells were decoded")
+        monkeypatch.setattr("tabverify.corpus.read_corpus", refuse)
+        monkeypatch.setattr("tabverify.corpus.make_document", refuse)
+        w = pipeline_dir
+        assert run(["ensemble-train", f"{w}/scores.jsonl", "--corpus", f"{w}/corpus.jsonl",
+                    "--out", f"{tmp_path}/layer.json"]) == 0
+        assert run(["score", "--corpus", f"{w}/corpus.jsonl", "--preds", f"{w}/preds.jsonl",
+                    "--evidence", f"{w}/evidence.jsonl", "--out", f"{tmp_path}/report.json"]) == 0
+        for name in ["layer.json", "report.json"]:
+            assert ((tmp_path / name).read_bytes()
+                    == (fixtures_dir / "expected" / name).read_bytes()), name
+
+    def test_train_holds_no_statement(self, pipeline_dir, tmp_path, monkeypatch):
+        """`ensemble-train` keeps only the gold labels while it trains."""
+        def statements_alive():
+            gc.collect()
+            return sum(isinstance(obj, Statement) for obj in gc.get_objects())
+
+        train, alive = ensemble.train, []
+        monkeypatch.setattr(ensemble, "train",
+                            lambda *args: alive.append(statements_alive()) or train(*args))
+        before = statements_alive()
+        w = pipeline_dir
+        assert run(["ensemble-train", f"{w}/scores.jsonl", "--corpus", f"{w}/corpus.jsonl",
+                    "--out", f"{tmp_path}/layer.json"]) == 0
+        assert alive == [before]
 
 
 class TestEvidenceShape:
@@ -782,6 +869,18 @@ class TestWholeCorpusErrors:
         assert run(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {paths}: generate_unknown requires at least 2 tables\n")
+        assert not (tmp_path / "augmented.jsonl").exists()
+
+    def test_augment_merge_with_duplicate_table_id(self, tmp_path, capsys):
+        """External table "a" becomes "ext:a", which the corpus holds."""
+        corpus_path, external_path = tmp_path / "corpus.jsonl", tmp_path / "external.jsonl"
+        write_corpus([make_table([["h"], ["x"]], table_id=t) for t in ("ext:a", "b")],
+                     corpus_path)
+        write_corpus([make_table([["h"], ["y"]], table_id="a")], external_path)
+        assert run(["augment", str(corpus_path), f"{tmp_path}/augmented.jsonl",
+                    "--external", str(external_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus_path}, {external_path}: duplicate table_id after merge: 'ext:a'\n")
         assert not (tmp_path / "augmented.jsonl").exists()
 
     def test_ensemble_train_without_labels(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import json
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -216,6 +218,43 @@ class TestInterchange:
         path = tmp_path / "corpus.jsonl"
         cp.write_corpus(docs, path)
         assert cp.read_corpus(path) == docs
+
+
+def statements_of(doc):
+    """The TableStatements that read_statements keeps of ``doc``."""
+    return cp.TableStatements(doc.table_id, doc.header_rows, doc.n_rows, doc.n_cols,
+                              doc.statements)
+
+
+class TestReadStatements:
+    @given(documents())
+    def test_keeps_what_read_corpus_reads(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "corpus.jsonl"
+            cp.write_corpus([doc], path)
+            assert cp.read_statements(path) == [statements_of(doc)]
+
+    @pytest.mark.parametrize("evidence, error", [
+        ([[1, 2]], None),
+        ([[0, 3]], "statement 's1' evidence cell (0, 3) out of bounds"),
+        ([[2, 0]], "statement 's1' evidence cell (2, 0) out of bounds"),
+    ], ids=["widest-row", "past-widest-row", "past-last-row"])
+    def test_ragged_grid_has_the_padded_shape(self, tmp_path, evidence, error):
+        """A grid's width is its widest row's, wherever that row is."""
+        path = tmp_path / "corpus.jsonl"
+        line = json.dumps({"format_version": 1, "doc_id": "", "table_id": "t1",
+                           "caption": "", "legend": "", "grid": [["a"], ["b", "c", "d"]],
+                           "header_rows": 1, "statements": [
+                               {"stmt_id": "s1", "text": "x", "evidence": [evidence]}]})
+        path.write_text(line + "\n")
+        if error:
+            assert read_error(path, line) == f"{path}:1: {error}"
+            with pytest.raises(cp.SchemaError, match=re.escape(f"{path}:1: {error}")):
+                cp.read_statements(path)
+        else:
+            [doc] = cp.read_corpus(path)
+            assert (doc.n_rows, doc.n_cols) == (2, 3)
+            assert cp.read_statements(path) == [statements_of(doc)]
 
 
 class TestAtomicWrite:
