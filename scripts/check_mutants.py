@@ -59,8 +59,9 @@ MUTANTS = [
     ("src/tabverify/scoring.py", "key=lambda prf: prf[2])", "key=lambda prf: prf[0])", None),
     ("src/tabverify/scoring.py", "if g in two_way]", "]", None),
     ("src/tabverify/scoring.py", "sum(stmt_scores) / len(stmt_scores)", "max(stmt_scores)", None),
-    ("src/tabverify/corpus.py", "max(map(len, rows_text), default=0)",
-     "max(map(len, rows_text), default=0) + 1", None),
+    ("src/tabverify/corpus.py", "doc.table_id, doc.n_rows, doc.n_cols, doc.statements)",
+     "doc.table_id, doc.n_rows, doc.n_cols + 1, doc.statements)", None),
+    ("src/tabverify/corpus.py", "ValueError, RecursionError)", "ValueError)", None),
     ("src/tabverify/corpus.py", '    "".join(map("".join, grid))  # a TypeError unless',
      "    # a TypeError unless", None),
     ("src/tabverify/augment.py", '" ".join([*map(" ".join, doc.grid), doc.caption])',

@@ -3,13 +3,14 @@ file boundary: the one JSON-lines reader and writer every pipeline file goes
 through.  A corpus file holds one interchange record per table and has no
 codec of its own: ``read_corpus`` and ``write_corpus`` go through them too.
 
-Both corpus readers decode a record with ``_decode`` and run every check on
-it, cells being strings included; they differ only in what they keep.
+Every table is built and checked by ``make_document``, and every
+interchange line is decoded by ``from_interchange``.  Both corpus readers
+decode each line with it; they differ only in what they keep.
 ``read_corpus`` keeps each TableDocument, grid and all: the stages that
 read cell text (stats, augment, snapshot, baseline, evidence) use it.
-``read_statements`` keeps a TableStatements, the table's id, header rows,
-shape and statements: ``ensemble-train`` and ``score`` use it, and hold no
-cell text.
+``read_statements`` keeps a TableStatements, a projection of the document
+to its id, shape and statements, so only one line's grid is alive at a
+time: ``ensemble-train`` and ``score`` use it, and hold no cell text.
 
 XML schema (one table per file):
 
@@ -97,10 +98,8 @@ class TableDocument:
 
 @dataclass(frozen=True)
 class TableStatements:
-    """What ``read_statements`` keeps of one table: the TableDocument of the
-    same record without its doc_id, caption, legend and grid."""
+    """What ``read_statements`` keeps of one table's TableDocument."""
     table_id: str
-    header_rows: int
     n_rows: int
     n_cols: int
     statements: tuple  # tuple of Statement
@@ -112,16 +111,17 @@ def _build_grid(rows_text):
     return tuple(tuple(texts) + ("",) * (width - len(texts)) for texts in rows_text)
 
 
-def _check_table(table):
-    """Enforce the invariants of a TableDocument or TableStatements: only
-    its id, header rows, shape and statements are read."""
-    if not table.table_id:
+def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, statements):
+    """Assemble a TableDocument, enforcing all structural invariants."""
+    if not table_id:
         raise SchemaError("missing table id")
-    if table.header_rows < 0:
+    if header_rows < 0:
         raise SchemaError("header_rows must be >= 0")
-    table_id, n_rows, n_cols = table.table_id, table.n_rows, table.n_cols
+    doc = TableDocument(doc_id, table_id, caption, legend, _build_grid(rows_text),
+                        header_rows, tuple(statements))
+    n_rows, n_cols = doc.n_rows, doc.n_cols
     seen = set()
-    for st in table.statements:
+    for st in doc.statements:
         if not st.stmt_id:
             raise SchemaError(f"statement without id in table {table_id!r}")
         if st.stmt_id in seen:
@@ -138,24 +138,7 @@ def _check_table(table):
                     raise SchemaError(
                         f"statement {st.stmt_id!r} evidence cell ({r!r}, {c!r}) out of bounds"
                     )
-
-
-def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, statements):
-    """Assemble a TableDocument, enforcing all structural invariants."""
-    doc = TableDocument(doc_id, table_id, caption, legend, _build_grid(rows_text),
-                        header_rows, tuple(statements))
-    _check_table(doc)
     return doc
-
-
-def _make_table_statements(doc_id, table_id, caption, legend, rows_text, header_rows,
-                           statements):
-    """The TableStatements of the TableDocument that make_document would
-    assemble, checked as it is."""
-    table = TableStatements(table_id, header_rows, len(rows_text),
-                            max(map(len, rows_text), default=0), tuple(statements))
-    _check_table(table)
-    return table
 
 
 _INT = re.compile(r"-?[0-9]+")  # int() also takes "1_0", " 2 ", "\u0663"
@@ -234,8 +217,9 @@ def json_field(obj, name, kind, item=None):
     return value
 
 
-# What decoding bad input raises; every reader reports it via bad_input_reason.
-BAD_INPUT = (KeyError, TypeError, ValueError)
+# What decoding bad input raises (JSON nested too deep: RecursionError); every
+# reader reports it via bad_input_reason.
+BAD_INPUT = (KeyError, TypeError, ValueError, RecursionError)
 
 
 def bad_input_reason(exc):
@@ -352,15 +336,14 @@ def _document_to_json(doc):
     }
 
 
-def _decode(obj, make):
-    """Check the JSON object of one interchange line and pass its fields to
-    ``make``: make_document or _make_table_statements.  Bad input raises one
-    of BAD_INPUT, which read_jsonl reports."""
+def from_interchange(obj):
+    """Decode the JSON object of one interchange line into a TableDocument.
+    Bad input raises one of BAD_INPUT, which read_jsonl reports."""
     if json_field(obj, "format_version", int) != INTERCHANGE_VERSION:
         raise SchemaError(f"unsupported interchange version: {obj['format_version']!r}")
     grid = json_field(obj, "grid", list, list)
     "".join(map("".join, grid))  # a TypeError unless every cell is a string
-    return make(
+    return make_document(
         doc_id=json_field(obj, "doc_id", str),
         table_id=json_field(obj, "table_id", str),
         caption=json_field(obj, "caption", str),
@@ -372,21 +355,18 @@ def _decode(obj, make):
     )
 
 
-def from_interchange(obj):
-    """Decode the JSON object of one interchange line into a TableDocument."""
-    return _decode(obj, make_document)
-
-
 def read_corpus(path):
     """Read a corpus: one interchange line per table, table ids unique."""
     return list(read_jsonl(path, from_interchange, ("table_id",)).values())
 
 
 def read_statements(path):
-    """Read a corpus with every check of ``read_corpus``, keeping each
-    table's TableStatements: no cell text stays in memory."""
-    return list(read_jsonl(path, lambda obj: _decode(obj, _make_table_statements),
-                           ("table_id",)).values())
+    """Read a corpus as ``read_corpus`` does, keeping each table's
+    TableStatements: no cell text stays in memory."""
+    def project(obj):
+        doc = from_interchange(obj)
+        return TableStatements(doc.table_id, doc.n_rows, doc.n_cols, doc.statements)
+    return list(read_jsonl(path, project, ("table_id",)).values())
 
 
 def write_corpus(docs, path):

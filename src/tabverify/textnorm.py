@@ -178,16 +178,15 @@ class TableView:
     with and carries it as ``abbrevs``; it is the one table input of the
     per-table rules (``snapshot.select_snapshot``,
     ``classify.lexical_baseline``, ``evidence.find_evidence``).  It also
-    holds the table's ``n_rows``, ``n_cols``, ``header_rows`` and
-    ``body_row_indices``, the shape the rules read.  The sets and lists it
-    returns are shared by every caller and must not be mutated.
+    holds the table's ``n_rows``, ``n_cols`` and ``body_row_indices``, the
+    shape the rules read.  The sets and lists it returns are shared by
+    every caller and must not be mutated.
     """
 
     def __init__(self, table, abbrevs=None):
         self.table = table
         self.abbrevs = abbrevs
         self.n_rows, self.n_cols = table.n_rows, table.n_cols
-        self.header_rows = table.header_rows
         self.body_row_indices = table.body_row_indices
         self._row_grams = {}
 

@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import tabverify
 from conftest import FIXTURES, make_statement, make_table
 from run_fixture_pipeline import run_pipeline
-from tabverify import classify, cli, ensemble, evidence
-from tabverify.corpus import Label, Statement, parse_xml, read_corpus, write_corpus
+from tabverify import classify, cli, ensemble, evidence, scoring
+from tabverify.corpus import (Label, Statement, TableDocument, parse_xml, read_corpus,
+                              write_corpus)
 
 
 def run(argv):
@@ -245,6 +246,8 @@ def set_cell(row, col, value):
     return rewrite
 
 
+DEEP_JSON = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
 # Rewrites of corpus line 1 (table t1, 4x3) that every corpus reader rejects,
 # with the reason it gives.
 BAD_CORPUS_LINE = {
@@ -263,6 +266,7 @@ BAD_CORPUS_LINE = {
     "evidence-cell-past-last-row": (set_first_evidence([[4, 0]]),
                                     "statement 's1' evidence cell (4, 0) out of bounds"),
     "format-version": (set_field("format_version", 2), "unsupported interchange version: 2"),
+    "nested-too-deep": (lambda line: "[" * 100_000, DEEP_JSON),
 }
 
 
@@ -353,6 +357,8 @@ class TestJsonlBoundary:
          "{w}/evidence.jsonl:1: run lengths sum to 1, expected 12"),
         ("evidence.jsonl", 1, set_field("relevant_rle", [13, -1]), SCORE_EVIDENCE,
          "{w}/evidence.jsonl:1: negative run length -1"),
+        ("scores.jsonl", 1, lambda line: "[" * 100_000, PREDICT,
+         "{w}/scores.jsonl:1: " + DEEP_JSON),
     ], ids=["missing-snapshot", "missing-field", "invalid-json", "duplicate-prediction",
             "duplicate-snapshot", "duplicate-evidence", "duplicate-table",
             "grid-type", "header-rows-type", "statements-null", "corpus-line-not-object",
@@ -363,7 +369,7 @@ class TestJsonlBoundary:
             "snapshot-row-bool", "scores-bool", "evidence-cell-bool",
             "score-missing-model", "score-missing-model-majority",
             "score-missing-model-train", "train-unscored-statement", "snapshot-k-not-row-count",
-            "evidence-runs-short", "evidence-run-negative"])
+            "evidence-runs-short", "evidence-run-negative", "score-line-nested-too-deep"])
     def test_bad_record_reports_location(self, fixtures_dir, tmp_path, capsys,
                                          name, lineno, rewrite, argv, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -410,8 +416,9 @@ class TestJsonlBoundary:
         (lambda layer: json.dumps({**layer, "model_names": []}), "at least one model required"),
         (lambda layer: json.dumps({**layer, "bias": [0.0, float("nan"), 0.0]}),
          "non-finite layer parameters"),
+        (lambda layer: "[" * 100_000, DEEP_JSON),
     ], ids=["invalid-json", "missing-weights", "missing-model-names", "missing-bias",
-            "no-models", "nan-bias"])
+            "no-models", "nan-bias", "nested-too-deep"])
     def test_bad_layer_file_reports_path(self, fixtures_dir, tmp_path, capsys,
                                          rewrite, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -509,19 +516,31 @@ class TestMutatedInputs:
 
 
 class TestStatementRead:
-    def test_train_and_score_decode_no_cells(self, pipeline_dir, fixtures_dir, tmp_path,
-                                             monkeypatch):
-        """`ensemble-train` and `score` read the corpus's statements only:
-        they write the frozen outputs without building a TableDocument."""
+    def test_train_and_score_hold_no_document(self, pipeline_dir, fixtures_dir, tmp_path,
+                                              monkeypatch):
+        """`ensemble-train` and `score` hold no TableDocument, grid and all,
+        while they train and score, and write the frozen outputs."""
+        def documents_alive():
+            gc.collect()
+            return sum(isinstance(obj, TableDocument) for obj in gc.get_objects())
+
+        def count_on_call(fn):
+            return lambda *args: alive.append(documents_alive()) or fn(*args)
+
         def refuse(*args, **kwargs):
-            raise AssertionError("the corpus's cells were decoded")
+            raise AssertionError("the corpus was read with its grids")
         monkeypatch.setattr("tabverify.corpus.read_corpus", refuse)
-        monkeypatch.setattr("tabverify.corpus.make_document", refuse)
+        alive = []
+        for module, name in [(ensemble, "train"), (scoring, "score_task_a"),
+                             (scoring, "score_task_b")]:
+            monkeypatch.setattr(module, name, count_on_call(getattr(module, name)))
+        before = documents_alive()
         w = pipeline_dir
         assert run(["ensemble-train", f"{w}/scores.jsonl", "--corpus", f"{w}/corpus.jsonl",
                     "--out", f"{tmp_path}/layer.json"]) == 0
         assert run(["score", "--corpus", f"{w}/corpus.jsonl", "--preds", f"{w}/preds.jsonl",
                     "--evidence", f"{w}/evidence.jsonl", "--out", f"{tmp_path}/report.json"]) == 0
+        assert alive == [before] * 3
         for name in ["layer.json", "report.json"]:
             assert ((tmp_path / name).read_bytes()
                     == (fixtures_dir / "expected" / name).read_bytes()), name

@@ -222,8 +222,7 @@ class TestInterchange:
 
 def statements_of(doc):
     """The TableStatements that read_statements keeps of ``doc``."""
-    return cp.TableStatements(doc.table_id, doc.header_rows, doc.n_rows, doc.n_cols,
-                              doc.statements)
+    return cp.TableStatements(doc.table_id, doc.n_rows, doc.n_cols, doc.statements)
 
 
 class TestReadStatements:
