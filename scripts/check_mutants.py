@@ -66,6 +66,12 @@ MUTANTS = [
      "    # a TypeError unless", None),
     ("src/tabverify/augment.py", '" ".join([*map(" ".join, doc.grid), doc.caption])',
      '"".join([*map(" ".join, doc.grid), doc.caption])', None),
+    ("src/tabverify/corpus.py", "if len(tables) != 1:", "if len(tables) < 1:", None),
+    ("src/tabverify/textnorm.py", "if not _TOKEN_RE.fullmatch(key):", "if key != key.lower():",
+     None),
+    ("src/tabverify/cli.py", "if not isinstance(logging.getLevelName(level), int):", "if False:",
+     None),
+    ("src/tabverify/ensemble.py", "epochs: int = 200", "epochs: int = 199", None),
 ]
 
 

@@ -38,14 +38,13 @@ def lexical_baseline(statement, view, rows, n_values=textnorm.DEFAULT_NGRAMS):
     return (o, n, 1.0 - o)
 
 
-SCORE_KEY = ("model", "table_id", "stmt_id")
+SCORE_KEY = ("model", *corpus.STATEMENT_KEY)
 
 
 def write_scores(scores, path):
     """One JSON object per line from ``{(model, table_id, stmt_id): triple}``."""
-    corpus.write_jsonl(({"model": model, "table_id": table_id, "stmt_id": stmt_id,
-                         "scores": list(triple)}
-                        for (model, table_id, stmt_id), triple in scores.items()), path)
+    corpus.write_jsonl(({**dict(zip(SCORE_KEY, key)), "scores": list(triple)}
+                        for key, triple in scores.items()), path)
 
 
 def _score_triple(obj):

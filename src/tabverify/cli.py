@@ -67,9 +67,6 @@ def _parse_ngrams(spec):
     return n_values
 
 
-STATEMENT_KEY = ("table_id", "stmt_id")
-
-
 def cmd_parse(args):
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
@@ -169,7 +166,7 @@ def _read_snapshots(path, docs):
                              f"statement {obj['stmt_id']!r} are not body rows")
         return rows
 
-    return corpus.read_jsonl(path, rows_of, STATEMENT_KEY)
+    return corpus.read_jsonl(path, rows_of, corpus.STATEMENT_KEY)
 
 
 def cmd_baseline(args):
@@ -228,7 +225,8 @@ def cmd_predict(args):
 
 
 def _read_predictions(path):
-    return corpus.read_jsonl(path, lambda obj: corpus.Label.parse(obj["label"]), STATEMENT_KEY)
+    return corpus.read_jsonl(path, lambda obj: corpus.Label.parse(obj["label"]),
+                             corpus.STATEMENT_KEY)
 
 
 def cmd_evidence(args):
@@ -284,7 +282,7 @@ def _read_evidence(path, docs):
         evidence.rle_check(runs, *shape)
         return runs, *shape
 
-    return corpus.read_jsonl(path, check, STATEMENT_KEY, _Evidence(path))
+    return corpus.read_jsonl(path, check, corpus.STATEMENT_KEY, _Evidence(path))
 
 
 def cmd_score(args):
@@ -312,6 +310,12 @@ def build_parser():
         prog="tabverify",
         description="Table-based statement verification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Shared options are defined once, and a default a config class holds comes from it.
+    abbrev = argparse.ArgumentParser(add_help=False)
+    abbrev.add_argument("--abbrev-file", default=None)
+    ngrams = argparse.ArgumentParser(add_help=False)
+    ngrams.add_argument("--ngrams", type=_parse_ngrams, default=textnorm.DEFAULT_NGRAMS)
+    augment_config, train_config = augment_mod.AugmentConfig, ensemble.TrainConfig
 
     p = sub.add_parser("parse", help="parse a directory of XML tables")
     p.add_argument("in_dir")
@@ -323,30 +327,27 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_stats)
 
-    p = sub.add_parser("augment", help="merge external data and add unknown statements")
+    p = sub.add_parser("augment", parents=[abbrev],
+                       help="merge external data and add unknown statements")
     p.add_argument("corpus")
     p.add_argument("out")
     p.add_argument("--external", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--guard-threshold", type=float, default=0.5)
-    p.add_argument("--abbrev-file", default=None)
+    p.add_argument("--ratio", type=float, default=augment_config.unknown_ratio)
+    p.add_argument("--guard-threshold", type=float, default=augment_config.guard_threshold)
     p.set_defaults(fn=cmd_augment)
 
-    p = sub.add_parser("snapshot", help="select content-snapshot rows")
+    p = sub.add_parser("snapshot", parents=[ngrams, abbrev], help="select content-snapshot rows")
     p.add_argument("corpus")
     p.add_argument("out")
     p.add_argument("--rows-R", dest="rows_r", type=int, default=None)
-    p.add_argument("--ngrams", type=_parse_ngrams, default=textnorm.DEFAULT_NGRAMS)
-    p.add_argument("--abbrev-file", default=None)
     p.set_defaults(fn=cmd_snapshot)
 
-    p = sub.add_parser("baseline", help="run the lexical baseline classifier")
+    p = sub.add_parser("baseline", parents=[ngrams, abbrev],
+                       help="run the lexical baseline classifier")
     p.add_argument("corpus")
     p.add_argument("snapshots")
     p.add_argument("out")
-    p.add_argument("--ngrams", type=_parse_ngrams, default=textnorm.DEFAULT_NGRAMS)
-    p.add_argument("--abbrev-file", default=None)
     p.add_argument("--model-name", default="lexical")
     p.set_defaults(fn=cmd_baseline)
 
@@ -354,9 +355,9 @@ def build_parser():
     p.add_argument("scores", nargs="+")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--lr", type=float, default=train_config.learning_rate)
+    p.add_argument("--epochs", type=int, default=train_config.epochs)
+    p.add_argument("--l2", type=float, default=train_config.l2)
     p.set_defaults(fn=cmd_ensemble_train)
 
     p = sub.add_parser("predict", help="predict labels from score files")
@@ -367,12 +368,11 @@ def build_parser():
                    help="per-model argmax plurality vote instead of the vote layer")
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("evidence", help="rule-based evidence cell selection")
+    p = sub.add_parser("evidence", parents=[abbrev], help="rule-based evidence cell selection")
     p.add_argument("corpus")
     p.add_argument("predictions", nargs="?", default=None)
     p.add_argument("out")
     p.add_argument("--use-gold-taskA", dest="use_gold_taska", action="store_true")
-    p.add_argument("--abbrev-file", default=None)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=cmd_evidence)
 
@@ -388,11 +388,13 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=os.environ.get("TABFACT_KIT_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        # basicConfig checks the level only when the root logger has no handler yet.
+        level = os.environ.get("TABFACT_KIT_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):  # a level name maps to its number
+            raise ValueError(f"TABFACT_KIT_LOG: Unknown level: {level!r}")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         code = args.fn(args)
         if args.out:
             _write_manifest(args)

@@ -29,8 +29,9 @@ XML schema (one table per file):
       </table>
     </document>
 
-Ragged rows are padded on the right with empty strings so every grid is
-rectangular.  All types are immutable after construction.
+A ``<document>`` holds exactly one ``<table>``; a bare ``<table>`` root is
+read too.  Ragged rows are padded on the right with empty strings so every
+grid is rectangular.  All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 INTERCHANGE_VERSION = 1
+
+# The key fields of a statement's record in every per-statement file.
+STATEMENT_KEY = ("table_id", "stmt_id")
 
 
 class SchemaError(ValueError):
@@ -154,8 +158,8 @@ def _int_attr(elem, name, default=None):
         raise SchemaError(f"<{elem.tag}> {name}={value!r} is not an integer") from None
 
 
-def _elem_text(parent, tag):
-    elem = parent.find(tag)
+def _text(elem):
+    """An element's ``text`` attribute, else its stripped content; "" for None."""
     if elem is None:
         return ""
     return elem.get("text") or (elem.text or "").strip()
@@ -170,17 +174,16 @@ def parse_xml(data):
         # codec, or multi-byte.  expat's own messages end in the position.
         raise SchemaError(f"malformed XML: {exc}") from exc
 
-    table = root.find("table") if root.tag == "document" else root
-    if table is None or table.tag != "table":
-        raise SchemaError("expected a <table> element inside <document>")
+    tables = ([root] if root.tag == "table"
+              else root.findall("table") if root.tag == "document" else [])
+    if len(tables) != 1:  # several tables per document: not read yet
+        raise SchemaError(f"expected one <table> element inside <document>, found {len(tables)}")
+    table = tables[0]
     doc_id = root.get("id", "") if root.tag == "document" else ""
     table_id = table.get("id")
     header_rows = _int_attr(table, "header_rows", "1")
 
-    rows_text = []
-    for row in table.findall("row"):
-        rows_text.append([cell.get("text") or (cell.text or "").strip()
-                          for cell in row.findall("cell")])
+    rows_text = [[_text(cell) for cell in row.findall("cell")] for row in table.findall("row")]
 
     statements = []
     stmts_elem = table.find("statements")
@@ -194,13 +197,13 @@ def parse_xml(data):
                 for ev in st.findall("evidence"))
             statements.append(Statement(
                 stmt_id=st.get("id"),
-                text=st.get("text") or (st.text or "").strip(),
+                text=_text(st),
                 gold_label=label,
                 gold_evidence=versions or None,
             ))
 
-    return make_document(doc_id, table_id, _elem_text(table, "caption"),
-                         _elem_text(table, "legend"), rows_text, header_rows, statements)
+    return make_document(doc_id, table_id, _text(table.find("caption")),
+                         _text(table.find("legend")), rows_text, header_rows, statements)
 
 
 # The file boundary: every JSON-lines file the pipeline reads or writes, and

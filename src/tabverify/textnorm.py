@@ -61,8 +61,8 @@ def make_abbrev_table(pairs):
     """
     table = {}
     for key, full in pairs:
-        if key != key.lower():
-            raise ValueError(f"abbreviation key must be lowercase: {key!r}")
+        if not _TOKEN_RE.fullmatch(key):  # no token normalize yields could match it
+            raise ValueError(f"abbreviation key must be one lowercase token: {key!r}")
         tokens = tuple(_TOKEN_RE.findall(full.lower()))
         if not tokens:
             raise ValueError(f"empty expansion for {key!r}")

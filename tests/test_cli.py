@@ -38,6 +38,34 @@ class TestHelp:
         assert exc.value.code == 0
 
 
+class TestLogLevel:
+    """TABFACT_KIT_LOG sets the log level.  Logging is process-global, so the
+    CLI runs in a fresh interpreter, whose root logger has no handler yet."""
+
+    @pytest.mark.parametrize("level, code, err", [
+        ("info", 0, "INFO tabverify: wrote 5 tables to {out}\n"),
+        ("bogus", 2, "error: TABFACT_KIT_LOG: Unknown level: 'BOGUS'\n"),
+        ("5", 2, "error: TABFACT_KIT_LOG: Unknown level: '5'\n"),
+    ], ids=["info", "unknown-name", "number"])
+    def test_level(self, fixtures_dir, tmp_path, level, code, err):
+        out = tmp_path / "corpus.jsonl"
+        env = dict(os.environ, PYTHONPATH=str(fixtures_dir.parent.parent / "src"),
+                   TABFACT_KIT_LOG=level)
+        argv = ["parse", str(fixtures_dir / "corpus"), str(out)]
+        proc = subprocess.run([sys.executable, "-m", "tabverify.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err.format(out=out))
+        assert out.exists() == (code == 0)
+
+    def test_unknown_level_with_a_root_handler(self, fixtures_dir, tmp_path, monkeypatch,
+                                               capsys):
+        """Under pytest the root logger has handlers, so logging.basicConfig
+        would not check the level: main does."""
+        monkeypatch.setenv("TABFACT_KIT_LOG", "bogus")
+        assert run(["stats", str(fixtures_dir / "expected" / "corpus.jsonl")]) == 2
+        assert capsys.readouterr() == ("", "error: TABFACT_KIT_LOG: Unknown level: 'BOGUS'\n")
+
+
 class TestParse:
     def test_fixture_dir(self, fixtures_dir, tmp_path):
         out = tmp_path / "corpus.jsonl"
@@ -87,6 +115,19 @@ class TestParse:
         assert f"{src / 't6.xml'}: duplicate table_id 't1', also in {src / 't1.xml'}" \
             in caplog.text
         assert run(["stats", str(out)]) == 0
+
+    def test_two_table_document_is_a_failed_file(self, fixtures_dir, tmp_path, caplog):
+        src = tmp_path / "corpus"
+        shutil.copytree(fixtures_dir / "corpus", src)
+        t1 = (src / "t1.xml").read_text("utf-8")
+        second = t1[t1.index("<table"):t1.index("</table>") + len("</table>")]
+        (src / "t1.xml").write_text(t1.replace("</table>", "</table>" + second.replace(
+            'id="t1"', 'id="t9"'), 1), "utf-8")
+        out = tmp_path / "corpus.jsonl"
+        assert run(["parse", str(src), str(out)]) == 1
+        assert [doc.table_id for doc in read_corpus(out)] == ["t2", "t3", "t4", "t5"]
+        assert (f"{src / 't1.xml'}: expected one <table> element inside <document>, found 2"
+                in caplog.text)
 
     def test_missing_input(self, tmp_path, capsys):
         assert run(["parse", str(tmp_path / "nope"), str(tmp_path / "o")]) == 2
@@ -790,9 +831,12 @@ class TestBadOptions:
     @pytest.mark.parametrize("text, lineno, reason", [
         ("justoneword\n", 1, "expected 'abbrev<TAB>full form', got 'justoneword'"),
         ("# comment\navg\taverage\nno\tno more\n", 3, "abbreviation 'no' expands to itself"),
-        ("No\tnumber\n", 1, "abbreviation key must be lowercase: 'No'"),
+        ("No\tnumber\n", 1, "abbreviation key must be one lowercase token: 'No'"),
+        ("\ufeffavg\taverage\n", 1, "abbreviation key must be one lowercase token: '\\ufeffavg'"),
+        ("avg\taverage\ne.g.\tfor example\n", 2,
+         "abbreviation key must be one lowercase token: 'e.g.'"),
         ("\navg\t--\n", 2, "empty expansion for 'avg'"),
-    ], ids=["no-tab", "cycle", "uppercase-key", "empty-expansion"])
+    ], ids=["no-tab", "cycle", "uppercase-key", "bom-key", "punctuation-key", "empty-expansion"])
     def test_bad_abbrev_file_reports_location(self, pipeline_dir, tmp_path, capsys,
                                               text, lineno, reason):
         abbrevs = tmp_path / "abbrevs.tsv"

@@ -108,10 +108,17 @@ class TestParseXml:
 
     @pytest.mark.parametrize("xml", [b'<document id="d"/>',
                                      b'<document id="d"><tabel id="t"/></document>',
-                                     b'<row><cell text="a"/></row>'])
+                                     b'<row><cell text="a"/></row>',
+                                     b'<document id="d"><table id="a"/><table id="b"/></document>'])
     def test_without_table_element(self, xml):
-        with pytest.raises(cp.SchemaError, match="expected a <table> element"):
+        """Not one table: a second one is not dropped silently."""
+        with pytest.raises(cp.SchemaError, match="^expected one <table> element inside "
+                           f"<document>, found {xml.count(b'<table ')}$"):
             cp.parse_xml(xml)
+
+    def test_bare_table_root(self):
+        doc = cp.parse_xml(b'<table id="t"><caption>c</caption><row><cell text="a"/></row></table>')
+        assert (doc.doc_id, doc.table_id, doc.caption, doc.grid) == ("", "t", "c", (("a",),))
 
     @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
     def test_str_input_keeps_its_text(self, encoding):

@@ -111,8 +111,16 @@ class TestAbbrevTable:
             tn.make_abbrev_table([("no", "no more")])
 
     def test_uppercase_key_rejected(self):
-        with pytest.raises(ValueError, match="^abbreviation key must be lowercase: 'No'$"):
+        with pytest.raises(ValueError,
+                           match="^abbreviation key must be one lowercase token: 'No'$"):
             tn.make_abbrev_table([("No", "number")])
+
+    @pytest.mark.parametrize("key", ["\ufeffavg", "e.g.", "a b", ""])
+    def test_key_no_token_matches_rejected(self, key):
+        """A key that no normalized token equals would never fire."""
+        with pytest.raises(ValueError) as exc:
+            tn.make_abbrev_table([(key, "number")])
+        assert str(exc.value) == f"abbreviation key must be one lowercase token: {key!r}"
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "abbrevs.tsv"
