@@ -28,8 +28,16 @@ MUTANTS = [
     ("src/tabverify/augment.py", "MAX_REDRAWS = 10", "MAX_REDRAWS = 9", None),
     ("src/tabverify/augment.py", "math.floor(s * config.unknown_ratio)",
      "math.ceil(s * config.unknown_ratio)", None),
-    ("src/tabverify/textnorm.py", "        tokens = expanded\n",
-     "        tokens = [t for tok in expanded for t in abbrevs.get(tok, (tok,))]\n", None),
+    ("src/tabverify/textnorm.py",
+     "tokens = [t for tok in tokens for t in abbrevs.get(tok, (tok,))]",
+     "tokens = [u for tok in tokens for t in abbrevs.get(tok, (tok,))"
+     " for u in abbrevs.get(t, (t,))]", None),
+    ("src/tabverify/textnorm.py", "if abbrevs and not abbrevs.keys().isdisjoint(tokens):",
+     "if abbrevs and abbrevs.keys().isdisjoint(tokens):", None),
+    ("src/tabverify/textnorm.py", "zip(*[tokens[i:] for i in range(n)])",
+     "zip(*[tokens[i:] for i in range(1)])", None),
+    ("src/tabverify/augment.py", "tuple(dict.fromkeys(textnorm.normalize(st.text, abbrevs)))",
+     "tuple(textnorm.normalize(st.text, abbrevs))", None),
     ("src/tabverify/snapshot.py", "counts[(len(counts) - 1) // 2]",
      "counts[len(counts) // 2]", None),
     ("src/tabverify/snapshot.py", "if len(body) <= r_rows:", "if len(body) < r_rows:",

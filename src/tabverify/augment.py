@@ -91,10 +91,10 @@ def generate_unknown(corpus, config, abbrevs=None):
     if len(corpus) < 2:
         raise ValueError("generate_unknown requires at least 2 tables")
     rng = random.Random(config.rng_seed)
-    pool = []  # (table position, Statement, statement unigram set)
+    pool = []  # (table position, Statement, statement's distinct unigrams)
     for pos, doc in enumerate(corpus):
         for st in doc.statements:
-            pool.append((pos, st, set(textnorm.normalize(st.text, abbrevs))))
+            pool.append((pos, st, tuple(dict.fromkeys(textnorm.normalize(st.text, abbrevs)))))
 
     out = []
     warnings = []

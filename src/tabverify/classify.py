@@ -33,7 +33,7 @@ def lexical_baseline(statement, view, rows, n_values=textnorm.DEFAULT_NGRAMS):
     o = 0.0
     for idx in rows:
         o = max(o, textnorm.overlap_rate(stmt_grams, view.row_grams(idx, n_values)))
-    negated = bool(textnorm.NEGATION_TOKENS & set(stmt_tokens))
+    negated = not textnorm.NEGATION_TOKENS.isdisjoint(stmt_tokens)
     n = o * NEGATION_FACTOR if negated else 0.0
     return (o, n, 1.0 - o)
 

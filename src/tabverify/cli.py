@@ -144,8 +144,8 @@ def cmd_snapshot(args):
         view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
             rows = snapshot.select_snapshot(view, st, args.rows_r, args.ngrams)
-            records.append({"table_id": doc.table_id, "stmt_id": st.stmt_id,
-                            "rows": list(rows), "k": len(rows)})
+            records.append(dict(zip(corpus.STATEMENT_KEY, (doc.table_id, st.stmt_id)),
+                                rows=list(rows), k=len(rows)))
     corpus.write_jsonl(records, args.out)
     return 0
 
@@ -160,10 +160,11 @@ def _read_snapshots(path, docs):
         if corpus.json_field(obj, "k", int) != len(rows):  # not used, but must agree
             raise corpus.SchemaError(
                 f"field 'k' is {obj['k']}, but 'rows' holds {len(rows)} rows")
-        body = bodies.get(obj["table_id"], rows)
+        table_id, stmt_id = map(obj.get, corpus.STATEMENT_KEY)
+        body = bodies.get(table_id, rows)
         if not all(r in body for r in rows):
-            raise ValueError(f"snapshot rows {list(rows)} for table {obj['table_id']!r} "
-                             f"statement {obj['stmt_id']!r} are not body rows")
+            raise ValueError(f"snapshot rows {list(rows)} for table {table_id!r} "
+                             f"statement {stmt_id!r} are not body rows")
         return rows
 
     return corpus.read_jsonl(path, rows_of, corpus.STATEMENT_KEY)
@@ -212,14 +213,13 @@ def cmd_predict(args):
         raise ValueError(f"{args.layer}: layer models {sorted(layer.model_names)} are not "
                          f"the models {sorted(model_names)} of {', '.join(args.scores)}")
     records = []
-    for (table_id, stmt_id), by_model in sorted(scores.items()):
+    for key, by_model in sorted(scores.items()):
         if args.majority:
             label = ensemble.majority_vote(by_model, layer)
         else:
             label = ensemble.predict(
                 layer, ensemble.assemble_features(by_model, layer.model_names))
-        records.append({"table_id": table_id, "stmt_id": stmt_id,
-                        "label": label.value})
+        records.append(dict(zip(corpus.STATEMENT_KEY, key), label=label.value))
     corpus.write_jsonl(records, args.out)
     return 0
 
@@ -240,9 +240,9 @@ def cmd_evidence(args):
     for doc in docs:
         view = textnorm.TableView(doc, abbrevs)
         for st in doc.statements:
-            label = st.gold_label if labels is None else labels[(doc.table_id, st.stmt_id)]
-            rec = {"table_id": doc.table_id, "stmt_id": st.stmt_id,
-                   "n_rows": doc.n_rows, "n_cols": doc.n_cols}
+            key = (doc.table_id, st.stmt_id)
+            label = st.gold_label if labels is None else labels[key]
+            rec = dict(zip(corpus.STATEMENT_KEY, key), n_rows=doc.n_rows, n_cols=doc.n_cols)
             if label is None or label == corpus.Label.UNKNOWN:
                 # Unknown statements are outside the rule engine; emit no
                 # relevant cells so downstream scoring has full coverage.
@@ -275,9 +275,10 @@ def _read_evidence(path, docs):
     def check(obj):
         runs = corpus.json_field(obj, "relevant_rle", list, int)
         shape = (corpus.json_field(obj, "n_rows", int), corpus.json_field(obj, "n_cols", int))
-        table = shapes.get(obj["table_id"], shape)
+        table_id, stmt_id = map(obj.get, corpus.STATEMENT_KEY)
+        table = shapes.get(table_id, shape)
         if shape != table:
-            raise ValueError(f"evidence grid for {(obj['table_id'], obj['stmt_id'])} is "
+            raise ValueError(f"evidence grid for {(table_id, stmt_id)} is "
                              f"{shape[0]}x{shape[1]}, table is {table[0]}x{table[1]}")
         evidence.rle_check(runs, *shape)
         return runs, *shape

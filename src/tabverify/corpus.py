@@ -270,8 +270,12 @@ def read_jsonl(path, convert, key, records=None):
     return records
 
 
+# json.dumps with these options would build a new encoder for every record.
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def _jsonl_line(obj):
-    return (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    return (_JSONL_ENCODER.encode(obj) + "\n").encode("utf-8")
 
 
 def _write_atomic(chunks, path):

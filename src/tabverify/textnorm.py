@@ -12,6 +12,12 @@ seen (tens of thousands on large corpora).  A cache miss tries only the
 rules whose suffix ends in the word's last letter, in file order: no other
 rule can match, so the first rule that does is the one a scan of the whole
 list would find.
+
+``normalize`` skips the expansion pass when no token is an abbreviation
+key, since it would then copy the token list unchanged.  ``ngram_set``
+takes a sequence's n-token windows from ``zip`` over n shifted slices,
+which stops at the shortest slice, as the window ``tokens[i:i + n]`` does
+at the last full window.
 """
 
 from __future__ import annotations
@@ -144,12 +150,9 @@ def normalize(text, abbrevs=None):
     expand abbreviations (single pass), stem.
     """
     tokens = _TOKEN_RE.findall(text.lower())
-    if abbrevs:
-        expanded = []
-        for tok in tokens:
-            expanded.extend(abbrevs.get(tok, (tok,)))
-        tokens = expanded
-    return [stem(tok) for tok in tokens]
+    if abbrevs and not abbrevs.keys().isdisjoint(tokens):
+        tokens = [t for tok in tokens for t in abbrevs.get(tok, (tok,))]
+    return list(map(stem, tokens))
 
 
 def ngram_set(tokens, n_values=DEFAULT_NGRAMS):
@@ -158,16 +161,17 @@ def ngram_set(tokens, n_values=DEFAULT_NGRAMS):
     for n in n_values:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        for i in range(len(tokens) - n + 1):
-            grams.add(tuple(tokens[i:i + n]))
+        grams.update(zip(*[tokens[i:] for i in range(n)]))
     return grams
 
 
 def overlap_rate(statement_grams, row_grams):
-    """|intersection| / |statement grams|; 0 when the statement has none."""
+    """|intersection| / |statement grams|; 0 when the statement has none.
+    ``row_grams`` is a set; ``statement_grams`` may be any collection of
+    distinct grams."""
     if not statement_grams:
         return 0.0
-    return len(statement_grams & row_grams) / len(statement_grams)
+    return len(row_grams.intersection(statement_grams)) / len(statement_grams)
 
 
 class TableView:

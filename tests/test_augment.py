@@ -164,6 +164,16 @@ class TestGenerateUnknown:
             best = min(reference_draws(seed, 8, 2, 10), key=lambda idx: leaks[idx - 2])
             assert [st_.text for st_ in out[0].statements[2:]] == [donors[best - 2]]
 
+    def test_repeated_word_counts_once_toward_leak(self):
+        """Donor "alpha beta beta beta zz" leaks 2 of its 3 distinct words
+        into table a, over the threshold; 2 of its 5 words would not be."""
+        donors = ["alpha beta beta beta zz", "yy zz"]
+        for seed in range(10):
+            out, _ = generate_unknown(donor_corpus("alpha beta", donors),
+                                      AugmentConfig(rng_seed=seed))
+            clean_drawn = 3 in reference_draws(seed, 4, 2, 10)
+            assert [st_.text for st_ in out[0].statements[2:]] == [donors[clean_drawn]]
+
     def test_donor_draws_stop_after_ten_eligible(self):
         draws = list(_donor_draws(random.Random(0), 6, lambda idx: idx >= 2))
         assert draws == reference_draws(0, 6, 2, 10)

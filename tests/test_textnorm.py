@@ -2,7 +2,7 @@ import pathlib
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tabverify import textnorm as tn
 from tabverify.corpus import SchemaError
@@ -203,6 +203,73 @@ class TestNgrams:
         assert len(tn.ngram_set(tokens, {1})) <= len(tokens)
 
 
+def reference_normalize(text, abbrevs=None):
+    """``normalize`` as it was before it skipped the expansion pass of a
+    text holding no abbreviation and stemmed through ``map``."""
+    tokens = tn._TOKEN_RE.findall(text.lower())
+    if abbrevs:
+        expanded = []
+        for tok in tokens:
+            expanded.extend(abbrevs.get(tok, (tok,)))
+        tokens = expanded
+    return [tn.stem(tok) for tok in tokens]
+
+
+def reference_ngram_set(tokens, n_values=tn.DEFAULT_NGRAMS):
+    """``ngram_set`` as it was before it took the windows from ``zip``."""
+    grams = set()
+    for n in n_values:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        for i in range(len(tokens) - n + 1):
+            grams.add(tuple(tokens[i:i + n]))
+    return grams
+
+
+# Keys of the shipped table ("no", "avg") and of the drawn ones ("ab", "ba",
+# "b"; the drawn "k" and "i" match the Kelvin sign and dotted capital I,
+# which lowercase to "k" and to "i" and a combining dot), words that are
+# keys of neither, and capital sigma (final or not by its neighbours),
+# joined by separators.
+ORACLE_TEXT = st.lists(st.sampled_from(
+    ["no", "No.", "avg", "ab", "ba", "a", "b", "running", "3", "\u212a", "\u212aelvin",
+     "\u0130stanbul", "\u0391\u03a3", "\u03a3\u0391", " ", "-", "."]),
+    max_size=10).map("".join) | st.text(max_size=20)
+ORACLE_ABBREVS = st.one_of(
+    st.none(), st.just({}), st.just(tn.default_abbrevs()),
+    st.dictionaries(st.sampled_from(["ab", "ba", "b", "zz", "k", "i"]),
+                    st.lists(st.sampled_from(["ab", "ba", "a", "walks", "x"]),
+                             min_size=1, max_size=3).map(tuple), max_size=3))
+
+
+class TestNormalizeOracle:
+    @given(ORACLE_TEXT, ORACLE_ABBREVS)
+    @settings(max_examples=300)
+    @example("\u212aelvin \u0130stanbul \u039f\u0394\u039f\u03a3", None)
+    @example("avg and No. of runs", {})  # a table that is empty
+    @example("avg and No. of runs", {"zz": ("sleep",)})  # present, not matching
+    @example("avg and No. of runs", tn.default_abbrevs())  # matching
+    @example("\u212a avg", {"k": ("kelvin",)})  # matches the Kelvin sign's "k"
+    def test_equals_reference(self, text, abbrevs):
+        assert tn.normalize(text, abbrevs) == reference_normalize(text, abbrevs)
+
+
+class TestNgramsOracle:
+    @given(st.lists(st.sampled_from("abc"), max_size=8),
+           st.lists(st.integers(-1, 10), min_size=1, max_size=4))
+    @example(["a", "b", "c", "a"], [1, 2, 3])
+    @example(["a", "b"], [3, 9])  # every n longer than the tokens
+    def test_equals_reference(self, tokens, n_values):
+        try:
+            expected = reference_ngram_set(tokens, n_values)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                tn.ngram_set(tokens, n_values)
+        else:
+            assert tn.ngram_set(tokens, n_values) == expected
+            assert tn.ngram_set(tuple(tokens), n_values) == expected
+
+
 class TestOverlapRate:
     def test_half(self):
         assert tn.overlap_rate({"a", "b"}, {"b", "c"}) == 0.5
@@ -222,3 +289,11 @@ class TestOverlapRate:
         assert tn.overlap_rate(stmt | {extra}, row | {extra}) * (len(stmt | {extra})) >= base * len(stmt) - 1e-12
         # adding a shared gram to the row side never decreases the rate
         assert tn.overlap_rate(stmt, row | (stmt & {extra})) >= base
+
+    @given(st.sets(st.tuples(st.sampled_from("abc"), st.sampled_from("abc"))),
+           st.sets(st.tuples(st.sampled_from("abc"), st.sampled_from("abc"))))
+    @example(set(), {("a", "b")})  # no statement grams
+    def test_tuple_of_distinct_grams_equals_set(self, stmt, row):
+        """The donor pool of ``augment`` passes its statement words as a
+        tuple of distinct tokens."""
+        assert tn.overlap_rate(tuple(stmt), row) == tn.overlap_rate(stmt, row)
