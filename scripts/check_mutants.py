@@ -80,6 +80,8 @@ MUTANTS = [
     ("src/tabverify/cli.py", "if not isinstance(logging.getLevelName(level), int):", "if False:",
      None),
     ("src/tabverify/ensemble.py", "epochs: int = 200", "epochs: int = 199", None),
+    ("src/tabverify/corpus.py", "exc.filename in (None, tmp)", "True", None),
+    ("src/tabverify/cli.py", "textnorm.TableView(doc, abbrevs)", "textnorm.TableView(doc)", None),
 ]
 
 

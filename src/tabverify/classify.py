@@ -42,9 +42,9 @@ SCORE_KEY = ("model", *corpus.STATEMENT_KEY)
 
 
 def write_scores(scores, path):
-    """One JSON object per line from ``{(model, table_id, stmt_id): triple}``."""
+    """One JSON object per line from ``((model, table_id, stmt_id), triple)`` pairs."""
     corpus.write_jsonl(({**dict(zip(SCORE_KEY, key)), "scores": list(triple)}
-                        for key, triple in scores.items()), path)
+                        for key, triple in scores), path)
 
 
 def _score_triple(obj):

@@ -55,6 +55,15 @@ def _load_abbrevs(path):
     return textnorm.load_abbrev_file(path) if path else textnorm.default_abbrevs()
 
 
+def _each_statement(docs, abbrevs):
+    """Each statement of ``docs`` as ``(key, view, statement)``: its
+    ``corpus.STATEMENT_KEY`` tuple and its table's one ``TableView``."""
+    for doc in docs:
+        view = textnorm.TableView(doc, abbrevs)
+        for st in doc.statements:
+            yield (doc.table_id, st.stmt_id), view, st
+
+
 def _parse_ngrams(spec):
     """The ``--ngrams`` type: comma-separated n-gram sizes, each >= 1."""
     try:
@@ -74,22 +83,23 @@ def cmd_parse(args):
     files = sorted(in_dir.glob("*.xml"))
     if not files:
         log.warning("no XML files in %s", in_dir)
-    docs = []
     seen = {}  # table_id -> the file it came from
     failures = []
-    for path in files:
-        try:
-            doc = corpus.parse_xml(path.read_bytes())
-            if doc.table_id in seen:
-                raise corpus.SchemaError(
-                    f"duplicate table_id {doc.table_id!r}, also in {seen[doc.table_id]}")
-            seen[doc.table_id] = path
-            docs.append(doc)
-        except corpus.SchemaError as exc:
-            failures.append(path)
-            log.error("%s: %s", path, exc)
-    corpus.write_corpus(docs, args.out)
-    log.info("wrote %d tables to %s", len(docs), args.out)
+
+    def parsed():
+        for path in files:
+            try:
+                doc = corpus.parse_xml(path.read_bytes())
+                if doc.table_id in seen:
+                    raise corpus.SchemaError(
+                        f"duplicate table_id {doc.table_id!r}, also in {seen[doc.table_id]}")
+                seen[doc.table_id] = path
+                yield doc
+            except corpus.SchemaError as exc:
+                failures.append(path)
+                log.error("%s: %s", path, exc)
+    corpus.write_corpus(parsed(), args.out)
+    log.info("wrote %d tables to %s", len(seen), args.out)
     if failures:
         print(f"{len(failures)} file(s) failed to parse", file=sys.stderr)
         return 1
@@ -139,13 +149,9 @@ def cmd_snapshot(args):
         with _about(args.corpus):
             args.rows_r = max(1, snapshot.median_row_count(docs))
     abbrevs = _load_abbrevs(args.abbrev_file)
-    records = []
-    for doc in docs:
-        view = textnorm.TableView(doc, abbrevs)
-        for st in doc.statements:
-            rows = snapshot.select_snapshot(view, st, args.rows_r, args.ngrams)
-            records.append(dict(zip(corpus.STATEMENT_KEY, (doc.table_id, st.stmt_id)),
-                                rows=list(rows), k=len(rows)))
+    records = (dict(zip(corpus.STATEMENT_KEY, key), rows=list(rows), k=len(rows))
+               for key, view, st in _each_statement(docs, abbrevs)
+               for rows in [snapshot.select_snapshot(view, st, args.rows_r, args.ngrams)])
     corpus.write_jsonl(records, args.out)
     return 0
 
@@ -174,14 +180,9 @@ def cmd_baseline(args):
     docs = corpus.read_corpus(args.corpus)
     snaps = _read_snapshots(args.snapshots, docs)
     abbrevs = _load_abbrevs(args.abbrev_file)
-    scores = {}
-    for doc in docs:
-        view = textnorm.TableView(doc, abbrevs)
-        for st in doc.statements:
-            rows = snaps[(doc.table_id, st.stmt_id)]
-            scores[(args.model_name, doc.table_id, st.stmt_id)] = classify.lexical_baseline(
-                st, view, rows, args.ngrams)
-    classify.write_scores(scores, args.out)
+    classify.write_scores((((args.model_name, *key),
+                            classify.lexical_baseline(st, view, snaps[key], args.ngrams))
+                           for key, view, st in _each_statement(docs, abbrevs)), args.out)
     return 0
 
 
@@ -212,15 +213,16 @@ def cmd_predict(args):
     if set(layer.model_names) != set(model_names):
         raise ValueError(f"{args.layer}: layer models {sorted(layer.model_names)} are not "
                          f"the models {sorted(model_names)} of {', '.join(args.scores)}")
-    records = []
-    for key, by_model in sorted(scores.items()):
-        if args.majority:
-            label = ensemble.majority_vote(by_model, layer)
-        else:
-            label = ensemble.predict(
-                layer, ensemble.assemble_features(by_model, layer.model_names))
-        records.append(dict(zip(corpus.STATEMENT_KEY, key), label=label.value))
-    corpus.write_jsonl(records, args.out)
+
+    def records():
+        for key, by_model in sorted(scores.items()):
+            if args.majority:
+                label = ensemble.majority_vote(by_model, layer)
+            else:
+                label = ensemble.predict(
+                    layer, ensemble.assemble_features(by_model, layer.model_names))
+            yield dict(zip(corpus.STATEMENT_KEY, key), label=label.value)
+    corpus.write_jsonl(records(), args.out)
     return 0
 
 
@@ -236,13 +238,11 @@ def cmd_evidence(args):
     docs = corpus.read_corpus(args.corpus)
     labels = None if args.use_gold_taska else _read_predictions(args.predictions)
     abbrevs = _load_abbrevs(args.abbrev_file)
-    records = []
-    for doc in docs:
-        view = textnorm.TableView(doc, abbrevs)
-        for st in doc.statements:
-            key = (doc.table_id, st.stmt_id)
+
+    def records():
+        for key, view, st in _each_statement(docs, abbrevs):
             label = st.gold_label if labels is None else labels[key]
-            rec = dict(zip(corpus.STATEMENT_KEY, key), n_rows=doc.n_rows, n_cols=doc.n_cols)
+            rec = dict(zip(corpus.STATEMENT_KEY, key), n_rows=view.n_rows, n_cols=view.n_cols)
             if label is None or label == corpus.Label.UNKNOWN:
                 # Unknown statements are outside the rule engine; emit no
                 # relevant cells so downstream scoring has full coverage.
@@ -250,11 +250,11 @@ def cmd_evidence(args):
             else:
                 fired = evidence.find_evidence(st, view, label)
                 if args.trace:
-                    rec["trace"] = [[list(fired.get((r, c), ())) for c in range(doc.n_cols)]
-                                    for r in range(doc.n_rows)]
-            rec["relevant_rle"] = evidence.rle_encode(fired, doc.n_rows, doc.n_cols)
-            records.append(rec)
-    corpus.write_jsonl(records, args.out)
+                    rec["trace"] = [[list(fired.get((r, c), ())) for c in range(view.n_cols)]
+                                    for r in range(view.n_rows)]
+            rec["relevant_rle"] = evidence.rle_encode(fired, view.n_rows, view.n_cols)
+            yield rec
+    corpus.write_jsonl(records(), args.out)
     return 0
 
 

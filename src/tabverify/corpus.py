@@ -281,7 +281,7 @@ def _jsonl_line(obj):
 def _write_atomic(chunks, path):
     """Write the byte strings ``chunks`` to a temporary file beside ``path``
     and rename it to ``path``: a write that fails leaves ``path`` as it was,
-    removes the temporary file and reports an OSError under ``path``."""
+    removes the temporary file and reports its own OSError under ``path``."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -290,7 +290,7 @@ def _write_atomic(chunks, path):
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        if isinstance(exc, OSError):
+        if isinstance(exc, OSError) and exc.filename in (None, tmp):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 

@@ -173,18 +173,6 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
     return VoteLayer(tuple(model_names), weights, bias), trace
 
 
-def loss(layer, examples, l2=0.0):
-    """Training objective at a given layer; exposed for gradient checking."""
-    value, _, _ = _loss_and_grads(layer.weights, layer.bias, *_design(examples), l2)
-    return value
-
-
-def gradients(layer, examples, l2=0.0):
-    """Analytic gradient of `loss` with respect to (weights, bias)."""
-    _, grad_w, grad_b = _loss_and_grads(layer.weights, layer.bias, *_design(examples), l2)
-    return grad_w, grad_b
-
-
 def majority_vote(scores, layer=None):
     """No-training ensemble mode over one statement's ``{model: triple}``:
     per-model argmax, then plurality.

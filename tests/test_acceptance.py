@@ -114,7 +114,7 @@ def test_vote_layer_gradients_and_training():
                               r.normal(size=3) * 0.5)
         examples = random_examples(int(r.integers(2, 6)), m, seed=trial)
         l2 = float(r.choice([0.0, 1e-4]))
-        gw, gb = ens.gradients(layer, examples, l2)
+        _, gw, gb = ens._loss_and_grads(layer.weights, layer.bias, *ens._design(examples), l2)
         nw, nb = checker.numeric_grads(layer, examples, l2)
         denom = max(np.abs(nw).max(), np.abs(nb).max(), 1e-8)
         assert np.abs(gw - nw).max() / denom < 1e-6

@@ -70,7 +70,7 @@ class TestScoreFiles:
 
     def test_cardinality(self, tmp_path):
         path = tmp_path / "scores.jsonl"
-        classify.write_scores(self.scores(), path)
+        classify.write_scores(self.scores().items(), path)
         scores, model_names = classify.read_scores([path])
         assert len(scores) == 2 and model_names == tuple(f"m{m}" for m in range(6))
         assert sum(map(len, scores.values())) == 12
@@ -78,7 +78,7 @@ class TestScoreFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         written = self.scores()
-        classify.write_scores(written, path)
+        classify.write_scores(written.items(), path)
         scores, _ = classify.read_scores([path])
         assert {(m, *key): triple for key, by_model in scores.items()
                 for m, triple in by_model.items()} == written

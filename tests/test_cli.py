@@ -129,6 +129,19 @@ class TestParse:
         assert (f"{src / 't1.xml'}: expected one <table> element inside <document>, found 2"
                 in caplog.text)
 
+    def test_unreadable_xml_named_and_nothing_written(self, fixtures_dir, tmp_path, capsys):
+        """A file that cannot be read is reported under its own name, though
+        the output is being written when it is reached."""
+        src = tmp_path / "corpus"
+        shutil.copytree(fixtures_dir / "corpus", src)
+        (src / "t6.xml").symlink_to(tmp_path / "missing.xml")
+        out = tmp_path / "out" / "corpus.jsonl"
+        out.parent.mkdir()
+        assert run(["parse", str(src), str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{src / 't6.xml'}'\n")
+        assert not list(out.parent.iterdir())
+
     def test_missing_input(self, tmp_path, capsys):
         assert run(["parse", str(tmp_path / "nope"), str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'nope'}: not a directory\n"
@@ -861,6 +874,44 @@ class TestBadOptions:
         assert capsys.readouterr().err == f"error: {message.format(w=tmp_path)}\n"
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("argv", [
+        ["augment", "{w}/corpus.jsonl", "{o}/augmented.jsonl"],
+        ["snapshot", "{w}/corpus.jsonl", "{o}/snapshots.jsonl"],
+        ["baseline", "{w}/corpus.jsonl", "{w}/snapshots.jsonl", "{o}/scores.jsonl"],
+        ["evidence", "{w}/corpus.jsonl", "{w}/preds.jsonl", "{o}/evidence.jsonl"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_abbrev_file_named(self, pipeline_dir, tmp_path, capsys, argv):
+        abbrevs = tmp_path / "nope.tsv"
+        argv = [a.format(w=pipeline_dir, o=tmp_path) for a in argv]
+        assert run([*argv, "--abbrev-file", str(abbrevs)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{abbrevs}'\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, side", [
+        (BASELINE, "snapshots.jsonl"),
+        (EVIDENCE, "preds.jsonl"),
+    ], ids=["baseline", "evidence"])
+    def test_failure_mid_stream_keeps_old_output(self, pipeline_dir, tmp_path, capsys,
+                                                 argv, side):
+        """The side file lacks the corpus's last statement, so the stage
+        fails after writing every other record: the old output stays."""
+        work = tmp_path / "work"
+        shutil.copytree(pipeline_dir, work)
+        last = read_corpus(work / "corpus.jsonl")[-1]
+        key = (last.table_id, last.statements[-1].stmt_id)
+        lines = (work / side).read_text("utf-8").splitlines(keepends=True)
+        kept = [line for line in lines
+                if tuple(map(json.loads(line).get, ("table_id", "stmt_id"))) != key]
+        assert len(kept) == len(lines) - 1
+        (work / side).write_text("".join(kept), "utf-8")
+        argv = [a.format(w=work) for a in argv]
+        pathlib.Path(argv[-1]).write_bytes(b"old\n")
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {work / side}: no record for {key}\n"
+        assert pathlib.Path(argv[-1]).read_bytes() == b"old\n"
+        assert not list(work.glob("*.tmp"))
+
     def test_augment_warns_of_unfilled_quota(self, tmp_path, caplog):
         """Table a asks for 3 Unknown statements; table b has 1 to lend."""
         docs = [make_table([["h"], ["x"]], table_id=tid, statements=[
@@ -950,7 +1001,7 @@ class TestWholeCorpusErrors:
         corpus_path, scores = tmp_path / "corpus.jsonl", tmp_path / "scores.jsonl"
         write_corpus([make_table([["h"], ["x"]], table_id="t1",
                                  statements=[make_statement("s1", "x")])], corpus_path)
-        classify.write_scores({("lexical", "t1", "s1"): (0.5, 0.0, 0.5)}, scores)
+        classify.write_scores({("lexical", "t1", "s1"): (0.5, 0.0, 0.5)}.items(), scores)
         assert run(["ensemble-train", str(scores), "--corpus", str(corpus_path),
                     "--out", f"{tmp_path}/layer.json"]) == 2
         assert capsys.readouterr().err == f"error: {corpus_path}: no training examples\n"

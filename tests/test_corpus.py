@@ -277,6 +277,23 @@ class TestAtomicWrite:
         assert path.read_bytes() == b'{"old": 1}\n'
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("error", [
+        FileNotFoundError(2, "No such file or directory", "input.jsonl"),
+        ValueError("bad record"),
+    ], ids=["oserror-of-another-file", "value-error"])
+    def test_error_while_producing_records_passes_through(self, tmp_path, error):
+        """Only the writer's own OSErrors are reported under its path."""
+        path = tmp_path / "out.jsonl"
+
+        def records():
+            yield {"new": 1}
+            raise error
+
+        with pytest.raises(type(error)) as raised:
+            cp.write_jsonl(records(), path)
+        assert raised.value is error
+        assert not list(tmp_path.iterdir())
+
     def test_write_replaces_old_file(self, tmp_path):
         path = tmp_path / "out.json"
         path.write_bytes(b"old\n")
