@@ -189,7 +189,8 @@ def cmd_baseline(args):
 def cmd_ensemble_train(args):
     # Keep the labels only: no Statement stays in memory while training.
     gold = {(doc.table_id, st.stmt_id): st.gold_label
-            for doc in corpus.read_statements(args.corpus) for st in doc.statements}
+            for doc in corpus.read_corpus(args.corpus, corpus.TableStatements.of)
+            for st in doc.statements}
     scores, model_names = classify.read_scores(args.scores)
     examples = [(ensemble.assemble_features(scores[key], model_names), gold[key])
                 for key in sorted(gold) if gold[key]]
@@ -289,7 +290,7 @@ def _read_evidence(path, docs):
 def cmd_score(args):
     if not (args.preds or args.evidence):
         raise ValueError("score requires --preds or --evidence")
-    docs = corpus.read_statements(args.corpus)
+    docs = corpus.read_corpus(args.corpus, corpus.TableStatements.of)
     args.average = "micro" if args.micro else "macro"
     report = {}
     if args.preds:
@@ -392,7 +393,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         # basicConfig checks the level only when the root logger has no handler yet.
-        level = os.environ.get("TABFACT_KIT_LOG", "WARNING").upper()
+        level = (os.environ.get("TABFACT_KIT_LOG") or "WARNING").upper()
         if not isinstance(logging.getLevelName(level), int):  # a level name maps to its number
             raise ValueError(f"TABFACT_KIT_LOG: Unknown level: {level!r}")
         logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")

@@ -4,13 +4,7 @@ through.  A corpus file holds one interchange record per table and has no
 codec of its own: ``read_corpus`` and ``write_corpus`` go through them too.
 
 Every table is built and checked by ``make_document``, and every
-interchange line is decoded by ``from_interchange``.  Both corpus readers
-decode each line with it; they differ only in what they keep.
-``read_corpus`` keeps each TableDocument, grid and all: the stages that
-read cell text (stats, augment, snapshot, baseline, evidence) use it.
-``read_statements`` keeps a TableStatements, a projection of the document
-to its id, shape and statements, so only one line's grid is alive at a
-time: ``ensemble-train`` and ``score`` use it, and hold no cell text.
+interchange line is decoded by ``from_interchange``.
 
 XML schema (one table per file):
 
@@ -102,11 +96,15 @@ class TableDocument:
 
 @dataclass(frozen=True)
 class TableStatements:
-    """What ``read_statements`` keeps of one table's TableDocument."""
+    """A TableDocument without its cell text, for the stages that read none."""
     table_id: str
     n_rows: int
     n_cols: int
     statements: tuple  # tuple of Statement
+
+    @classmethod
+    def of(cls, doc):
+        return cls(doc.table_id, doc.n_rows, doc.n_cols, doc.statements)
 
 
 def _build_grid(rows_text):
@@ -362,18 +360,12 @@ def from_interchange(obj):
     )
 
 
-def read_corpus(path):
-    """Read a corpus: one interchange line per table, table ids unique."""
-    return list(read_jsonl(path, from_interchange, ("table_id",)).values())
-
-
-def read_statements(path):
-    """Read a corpus as ``read_corpus`` does, keeping each table's
-    TableStatements: no cell text stays in memory."""
-    def project(obj):
-        doc = from_interchange(obj)
-        return TableStatements(doc.table_id, doc.n_rows, doc.n_cols, doc.statements)
-    return list(read_jsonl(path, project, ("table_id",)).values())
+def read_corpus(path, keep=None):
+    """Read a corpus: one interchange line per table, table ids unique.  Each
+    table's TableDocument is kept, or with ``keep`` what ``keep(doc)``
+    returns, so that only one line's grid is alive at a time."""
+    convert = from_interchange if keep is None else lambda obj: keep(from_interchange(obj))
+    return list(read_jsonl(path, convert, ("table_id",)).values())
 
 
 def write_corpus(docs, path):

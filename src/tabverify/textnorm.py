@@ -62,7 +62,7 @@ _RULES_BY_LAST = {last: tuple(rule for rule in _STEM_RULES if rule[0][-1] == las
 def make_abbrev_table(pairs):
     """Build an abbreviation table from (key, full form) pairs.
 
-    Keys must be lowercase single tokens; values are token sequences.
+    Keys must be distinct lowercase single tokens; values are token sequences.
     A key whose expansion contains the key itself is rejected.
     """
     table = {}
@@ -74,6 +74,8 @@ def make_abbrev_table(pairs):
             raise ValueError(f"empty expansion for {key!r}")
         if key in tokens:
             raise ValueError(f"abbreviation {key!r} expands to itself")
+        if key in table:
+            raise ValueError(f"duplicate abbreviation key {key!r}")
         table[key] = tokens
     return table
 
@@ -82,21 +84,24 @@ def load_abbrev_file(path):
     """Read an abbreviation table: one ``abbrev<TAB>full form`` per line,
     ``#`` comments and blank lines ignored.  A bad line is a SchemaError
     ``"path:line: reason"``."""
-    table = {}
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()  # at "\n", "\r\n" and "\r", as text mode splits
-    for lineno, raw in enumerate(lines, 1):
-        try:
+    lineno = 0
+
+    def pairs():  # make_abbrev_table fails on the pair of the line last read
+        nonlocal lineno
+        for lineno, raw in enumerate(lines, 1):
             line = raw.decode("utf-8").strip()
             if not line or line.startswith("#"):
                 continue
             key, tab, full = line.partition("\t")
             if not tab:
                 raise ValueError(f"expected 'abbrev<TAB>full form', got {line!r}")
-            table.update(make_abbrev_table([(key.strip(), full.strip())]))
-        except ValueError as exc:  # a bad entry or a UnicodeDecodeError
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
-    return table
+            yield key.strip(), full.strip()
+    try:
+        return make_abbrev_table(pairs())
+    except ValueError as exc:  # a bad entry or a UnicodeDecodeError
+        raise SchemaError(f"{path}:{lineno}: {exc}") from None
 
 
 def default_abbrevs():

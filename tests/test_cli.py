@@ -46,7 +46,8 @@ class TestLogLevel:
         ("info", 0, "INFO tabverify: wrote 5 tables to {out}\n"),
         ("bogus", 2, "error: TABFACT_KIT_LOG: Unknown level: 'BOGUS'\n"),
         ("5", 2, "error: TABFACT_KIT_LOG: Unknown level: '5'\n"),
-    ], ids=["info", "unknown-name", "number"])
+        ("", 0, ""),
+    ], ids=["info", "unknown-name", "number", "empty"])
     def test_level(self, fixtures_dir, tmp_path, level, code, err):
         out = tmp_path / "corpus.jsonl"
         env = dict(os.environ, PYTHONPATH=str(fixtures_dir.parent.parent / "src"),
@@ -581,8 +582,10 @@ class TestStatementRead:
         def count_on_call(fn):
             return lambda *args: alive.append(documents_alive()) or fn(*args)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the corpus was read with its grids")
+        def refuse(path, keep=None):
+            if keep is None:
+                raise AssertionError("the corpus was read with its grids")
+            return read_corpus(path, keep)
         monkeypatch.setattr("tabverify.corpus.read_corpus", refuse)
         alive = []
         for module, name in [(ensemble, "train"), (scoring, "score_task_a"),
@@ -598,6 +601,20 @@ class TestStatementRead:
         for name in ["layer.json", "report.json"]:
             assert ((tmp_path / name).read_bytes()
                     == (fixtures_dir / "expected" / name).read_bytes()), name
+
+    def test_pipeline_reads_corpus_through_one_reader(self, fixtures_dir, tmp_path,
+                                                      monkeypatch):
+        """Each of the seven stage reads of the corpus is a `read_corpus`
+        call, and the two stages that hold no grid pass `keep`."""
+        keeps = []
+
+        def counting(path, *keep):
+            keeps.append(keep)
+            return read_corpus(path, *keep)
+        monkeypatch.setattr("tabverify.corpus.read_corpus", counting)
+        run_pipeline(fixtures_dir / "corpus", tmp_path)
+        assert len(keeps) == 7
+        assert sum(map(len, keeps)) == 2
 
     def test_train_holds_no_statement(self, pipeline_dir, tmp_path, monkeypatch):
         """`ensemble-train` keeps only the gold labels while it trains."""
@@ -849,7 +866,9 @@ class TestBadOptions:
         ("avg\taverage\ne.g.\tfor example\n", 2,
          "abbreviation key must be one lowercase token: 'e.g.'"),
         ("\navg\t--\n", 2, "empty expansion for 'avg'"),
-    ], ids=["no-tab", "cycle", "uppercase-key", "bom-key", "punctuation-key", "empty-expansion"])
+        ("avg\taverage\n# comment\navg\tmaximum\n", 3, "duplicate abbreviation key 'avg'"),
+    ], ids=["no-tab", "cycle", "uppercase-key", "bom-key", "punctuation-key", "empty-expansion",
+            "duplicate-key"])
     def test_bad_abbrev_file_reports_location(self, pipeline_dir, tmp_path, capsys,
                                               text, lineno, reason):
         abbrevs = tmp_path / "abbrevs.tsv"

@@ -228,7 +228,7 @@ class TestInterchange:
 
 
 def statements_of(doc):
-    """The TableStatements that read_statements keeps of ``doc``."""
+    """The TableStatements of ``doc``, field by field: not from ``TableStatements.of``."""
     return cp.TableStatements(doc.table_id, doc.n_rows, doc.n_cols, doc.statements)
 
 
@@ -238,7 +238,7 @@ class TestReadStatements:
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "corpus.jsonl"
             cp.write_corpus([doc], path)
-            assert cp.read_statements(path) == [statements_of(doc)]
+            assert cp.read_corpus(path, cp.TableStatements.of) == [statements_of(doc)]
 
     @pytest.mark.parametrize("evidence, error", [
         ([[1, 2]], None),
@@ -256,11 +256,11 @@ class TestReadStatements:
         if error:
             assert read_error(path, line) == f"{path}:1: {error}"
             with pytest.raises(cp.SchemaError, match=re.escape(f"{path}:1: {error}")):
-                cp.read_statements(path)
+                cp.read_corpus(path, cp.TableStatements.of)
         else:
             [doc] = cp.read_corpus(path)
             assert (doc.n_rows, doc.n_cols) == (2, 3)
-            assert cp.read_statements(path) == [statements_of(doc)]
+            assert cp.read_corpus(path, cp.TableStatements.of) == [statements_of(doc)]
 
 
 class TestAtomicWrite:

@@ -122,6 +122,11 @@ class TestAbbrevTable:
             tn.make_abbrev_table([(key, "number")])
         assert str(exc.value) == f"abbreviation key must be one lowercase token: {key!r}"
 
+    def test_repeated_key_rejected(self):
+        """A repeat is rejected, not resolved in favour of either entry."""
+        with pytest.raises(ValueError, match="^duplicate abbreviation key 'avg'$"):
+            tn.make_abbrev_table([("avg", "average"), ("no", "number"), ("avg", "maximum")])
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "abbrevs.tsv"
         path.write_text("# comment\nno\tnumber\navg\taverage\n", "utf-8")
