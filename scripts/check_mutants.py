@@ -57,12 +57,21 @@ MUTANTS = [
     ("src/tabverify/ensemble.py", "np.cumsum(delta.T, axis=1)[:, -1]",
      "np.ascontiguousarray(delta.T).sum(axis=1)", None),
     ("src/tabverify/evidence.py", "if taska_label == Label.ENTAILED:", "if False:", None),
-    ("src/tabverify/evidence.py", "for c in header_cols for r in body)",
-     "for c in header_cols for r in range(n_rows))", None),
-    ("src/tabverify/evidence.py", "for r in label_rows for c in range(n_cols))",
-     "for r in label_rows for c in range(1, n_cols))", None),
-    ("src/tabverify/evidence.py", "label_rows = {r for r, c in cells if c == 0 and",
-     "label_rows = {r for r, c in cells if c <= 1 and", None),
+    # rule 1 over all rows, header rows included
+    ("src/tabverify/evidence.py", "(1 << n_rows * n_cols) - (1 << body.start * n_cols)",
+     "(1 << n_rows * n_cols) - 1", None),
+    # rule 2 skipping column 0
+    ("src/tabverify/evidence.py", 'fired["2"] |= label_rows * full_row',
+     'fired["2"] |= label_rows * (full_row - 1)', None),
+    # label rows taken from columns 0 and 1
+    ("src/tabverify/evidence.py", "for r, c in cells if c == 0 and r in body",
+     "for r, c in cells if c <= 1 and r in body", None),
+    # the bit layout transposed: bit col * n_cols + row, column-major on a square grid
+    ("src/tabverify/evidence.py", "{1 << r * n_cols + c for r, c in cells}",
+     "{1 << c * n_cols + r for r, c in cells}", None),
+    # rule 3 never fires; its cells are inside rules 1 and 2, so only the trace shows it
+    ("src/tabverify/evidence.py", 'fired["3"] |= label_rows * header_cols',
+     'fired["3"] |= 0', None),
     ("src/tabverify/ensemble.py", "    return winners[0]", "    return winners[-1]", None),
     ("src/tabverify/scoring.py", "key=lambda prf: prf[2])", "key=lambda prf: prf[0])", None),
     ("src/tabverify/scoring.py", "if g in two_way]", "]", None),

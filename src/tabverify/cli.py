@@ -232,16 +232,14 @@ def cmd_evidence(args):
         for key, view, st in _each_statement(docs, abbrevs):
             label = st.gold_label if labels is None else labels[key]
             rec = dict(zip(corpus.STATEMENT_KEY, key), n_rows=view.n_rows, n_cols=view.n_cols)
-            if label is None or label == corpus.Label.UNKNOWN:
-                # Unknown statements are outside the rule engine; emit no
-                # relevant cells so downstream scoring has full coverage.
-                fired = {}
-            else:
+            relevant = 0  # no rule fires on Unknown, but its record keeps scoring's coverage
+            if label is not None and label != corpus.Label.UNKNOWN:
                 fired = evidence.find_evidence(st, view, label)
+                for mask in fired.values():
+                    relevant |= mask
                 if args.trace:
-                    rec["trace"] = [[list(fired.get((r, c), ())) for c in range(view.n_cols)]
-                                    for r in range(view.n_rows)]
-            rec["relevant_rle"] = evidence.rle_encode(fired, view.n_rows, view.n_cols)
+                    rec["trace"] = evidence.rule_trace(fired, view.n_rows, view.n_cols)
+            rec["relevant_rle"] = evidence.rle_encode(relevant, view.n_rows, view.n_cols)
             yield rec
     corpus.write_jsonl(records(), args.out)
     return 0
@@ -249,7 +247,7 @@ def cmd_evidence(args):
 
 class _Evidence(corpus.Records):
     """Evidence records kept as ``(runs, n_rows, n_cols)``; looking a record
-    up decodes it into its set of relevant cells."""
+    up decodes it into its mask of relevant cells."""
 
     def __getitem__(self, key):
         return evidence.rle_decode(*super().__getitem__(key))

@@ -25,6 +25,18 @@ def make_statement(stmt_id, text, label=None, evidence=None):
     return Statement(stmt_id, text, label, versions)
 
 
+def mask_of(cells, n_cols):
+    """The Task B mask of a set of ``(row, col)`` cells of a grid ``n_cols``
+    wide: bit ``row * n_cols + col`` per cell.  With ``cells_of`` it is the
+    tests' one conversion between masks and the set-based oracles."""
+    return sum(1 << (r * n_cols + c) for r, c in set(cells))
+
+
+def cells_of(mask, n_cols):
+    """The set of ``(row, col)`` cells whose bits ``mask`` holds."""
+    return {divmod(i, n_cols) for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 def corpus_bytes(docs, path):
     """The bytes ``write_corpus`` writes for ``docs`` at ``path``."""
     write_corpus(docs, path)

@@ -20,11 +20,11 @@ from tabverify.corpus import Label
 from tabverify.snapshot import select_snapshot
 from tabverify.textnorm import TableView
 
-from conftest import corpus_bytes, make_statement, make_table
+from conftest import corpus_bytes, make_statement, make_table, mask_of
 from run_fixture_pipeline import run_pipeline
 import test_ensemble
 from test_ensemble import planted_separable, random_examples
-from test_evidence import brute_force as evidence_brute_force, random_case
+from test_evidence import brute_force as evidence_brute_force, by_cell, random_case
 from test_snapshot import brute_force_rows, random_instance
 from test_scoring import corpus_from_labels, preds_from, naive_task_a, naive_task_b
 
@@ -132,7 +132,7 @@ def test_evidence_oracle_equivalence_1000():
     rng = random.Random(424242)
     for _ in range(1000):
         table, stmt = random_case(rng, vocab_size=10, max_dim=6)
-        fired = ev.find_evidence(stmt, TableView(table), Label.REFUTED)
+        fired = by_cell(ev.find_evidence(stmt, TableView(table), Label.REFUTED), table.n_cols)
         assert set(fired) == evidence_brute_force(stmt, table)
         for rules in fired.values():
             if "3" in rules:
@@ -171,7 +171,8 @@ def test_scorer_oracle_equivalence_500():
                     for _ in range(rng.randint(0, 3))}
             docs.append(make_table([["h", "h"], ["a", "b"]], table_id=f"t{t}",
                                    statements=stmts))
-        assert abs(scoring.score_task_b(pred_sets, docs)["overall"]
+        pred_masks = {key: mask_of(cells, 2) for key, cells in pred_sets.items()}
+        assert abs(scoring.score_task_b(pred_masks, docs)["overall"]
                    - naive_task_b(pred_sets, docs)) < 1e-12
     # the hand-computed examples reproduce exactly
     gold = corpus_from_labels([("t1", [E, E, R, U])])
@@ -183,7 +184,8 @@ def test_scorer_oracle_equivalence_500():
     doc = make_table([["h", "h"], ["a", "b"]], table_id="t1", statements=[
         make_statement("s0", "x", E, [{(0, 0), (0, 1)}])])
     assert scoring.score_task_b(
-        {("t1", "s0"): {(0, 0), (1, 1)}}, [doc])["overall"] == pytest.approx(0.5, abs=1e-12)
+        {("t1", "s0"): mask_of({(0, 0), (1, 1)}, 2)}, [doc])["overall"] == pytest.approx(
+            0.5, abs=1e-12)
     report("scorers match naive implementation on 500 corpora",
            time.perf_counter() - start, 30)
 

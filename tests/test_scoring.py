@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tabverify import scoring
 from tabverify.corpus import Label, Records, SchemaError
-from conftest import make_statement, make_table
+from conftest import make_statement, make_table, mask_of
 
 E, R, U = Label.ENTAILED, Label.REFUTED, Label.UNKNOWN
 
@@ -165,24 +166,31 @@ class TestScoreTaskB:
         stmt = make_statement("s0", "text", label, versions)
         return make_table([["h", "h2"], ["a", "b"]], table_id=tid, statements=[stmt])
 
+    def score(self, pred_cells, docs):
+        """``score_task_b`` on the masks of the cell sets ``pred_cells`` of
+        the statements of ``docs``."""
+        n_cols = {doc.table_id: doc.n_cols for doc in docs}
+        return scoring.score_task_b(
+            {key: mask_of(cells, n_cols[key[0]]) for key, cells in pred_cells.items()}, docs)
+
     def test_exact_match(self):
         gold = [self.gold_doc([{(0, 0), (0, 1)}])]
-        report = scoring.score_task_b({("t1", "s0"): {(0, 0), (0, 1)}}, gold)
+        report = self.score({("t1", "s0"): {(0, 0), (0, 1)}}, gold)
         assert report["overall"] == 1.0
 
     def test_empty_prediction_zero(self):
         gold = [self.gold_doc([{(0, 0)}])]
-        report = scoring.score_task_b({("t1", "s0"): set()}, gold)
+        report = self.score({("t1", "s0"): set()}, gold)
         assert report["overall"] == 0.0
 
     def test_best_version_wins(self):
         gold = [self.gold_doc([{(0, 0)}, {(1, 1)}])]
-        report = scoring.score_task_b({("t1", "s0"): {(0, 0)}}, gold)
+        report = self.score({("t1", "s0"): {(0, 0)}}, gold)
         assert report["overall"] == 1.0
 
     def test_hand_computed_half(self):
         gold = [self.gold_doc([{(0, 0), (0, 1)}])]
-        report = scoring.score_task_b({("t1", "s0"): {(0, 0), (1, 1)}}, gold)
+        report = self.score({("t1", "s0"): {(0, 0), (1, 1)}}, gold)
         assert report["overall"] == pytest.approx(0.5, abs=1e-12)
         stmt = report["per_statement"]["t1/s0"]
         assert stmt["precision"] == pytest.approx(0.5)
@@ -193,7 +201,7 @@ class TestScoreTaskB:
             make_statement("s0", "x", E, [{(0, 0)}]),
             make_statement("s1", "y", U),
         ])]
-        report = scoring.score_task_b({("t1", "s0"): {(0, 0)}}, docs)
+        report = self.score({("t1", "s0"): {(0, 0)}}, docs)
         assert report["overall"] == 1.0
         assert "t1/s1" not in report["per_statement"]
 
@@ -204,7 +212,16 @@ class TestScoreTaskB:
                 for tid, sid in (("a/b", "c"), ("a", "b/c"))]
         preds = {("a/b", "c"): {(0, 0)}, ("a", "b/c"): {(0, 0)}}
         with pytest.raises(scoring.ScoringError, match="'a/b/c'"):
-            scoring.score_task_b(preds, docs)
+            self.score(preds, docs)
+
+    def test_non_square_grid(self):
+        """Gold cells and predicted cells of a 3x2 table meet on the same
+        bits: (1, 0) is bit 2 and (2, 1) bit 5."""
+        docs = [make_table([["h", "h2"], ["a", "b"], ["c", "d"]], table_id="t1", statements=[
+            make_statement("s0", "x", E, [{(1, 0), (2, 1)}])])]
+        report = self.score({("t1", "s0"): {(1, 0)}}, docs)
+        assert report["per_statement"]["t1/s0"] == pytest.approx(
+            {"precision": 1.0, "recall": 0.5, "f1": 2 / 3})
 
 
 class TestRandomizedOracle:
@@ -259,9 +276,29 @@ class TestRandomizedOracle:
                         for _ in range(rng.randint(0, 3))}
                 docs.append(make_table([["h", "h"], ["a", "b"]], table_id=f"t{t}",
                                        statements=stmts))
-            report = scoring.score_task_b(pred_sets, docs)
+            report = scoring.score_task_b(
+                {key: mask_of(cells, 2) for key, cells in pred_sets.items()}, docs)
             assert report["overall"] == pytest.approx(
                 naive_task_b(pred_sets, docs), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_taskb_matches_naive_on_any_shape(self, data):
+        """Tables of any shape, non-square included, with predictions from
+        no cell to the full grid."""
+        docs, pred_sets, pred_masks = [], {}, {}
+        for t in range(data.draw(st.integers(1, 3))):
+            n_rows, n_cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+            grid = sorted((r, c) for r in range(n_rows) for c in range(n_cols))
+            versions = data.draw(st.lists(st.sets(st.sampled_from(grid), min_size=1),
+                                          min_size=1, max_size=2))
+            docs.append(make_table([["x"] * n_cols] * n_rows, table_id=f"t{t}", statements=[
+                make_statement("s0", "x", data.draw(st.sampled_from([E, R])), versions)]))
+            cells = data.draw(st.sampled_from([set(grid)]) | st.sets(st.sampled_from(grid)))
+            pred_sets[(f"t{t}", "s0")] = cells
+            pred_masks[(f"t{t}", "s0")] = mask_of(cells, n_cols)
+        report = scoring.score_task_b(pred_masks, docs)
+        assert report["overall"] == pytest.approx(naive_task_b(pred_sets, docs), abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = random.Random(16)
