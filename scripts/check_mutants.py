@@ -72,6 +72,12 @@ MUTANTS = [
     # rule 3 never fires; its cells are inside rules 1 and 2, so only the trace shows it
     ("src/tabverify/evidence.py", 'fired["3"] |= label_rows * header_cols',
      'fired["3"] |= 0', None),
+    # the targets' gold entries at 0.5, not 1.0
+    ("src/tabverify/ensemble.py", "probs.ravel()[gold_flat] -= 1.0",
+     "probs.ravel()[gold_flat] -= 0.5", None),
+    # a record of a table outside the corpus decoded as well as checked
+    ("src/tabverify/cli.py", "return evidence.rle_check(runs, *shape)",
+     "return evidence.rle_decode(runs, *shape)", None),
     ("src/tabverify/ensemble.py", "    return winners[0]", "    return winners[-1]", None),
     ("src/tabverify/scoring.py", "key=lambda prf: prf[2])", "key=lambda prf: prf[0])", None),
     ("src/tabverify/scoring.py", "if g in two_way]", "]", None),

@@ -245,32 +245,26 @@ def cmd_evidence(args):
     return 0
 
 
-class _Evidence(corpus.Records):
-    """Evidence records kept as ``(runs, n_rows, n_cols)``; looking a record
-    up decodes it into its mask of relevant cells."""
-
-    def __getitem__(self, key):
-        return evidence.rle_decode(*super().__getitem__(key))
-
-
 def _read_evidence(path, docs):
-    """Each record's checked runs and shape, decoded only when scored.  A
+    """Each record's mask of relevant cells, decoded as it is read.  A
     record's runs must cover its claimed grid, and a record of a corpus table
-    must claim that table's shape."""
+    must claim that table's shape; a record of a table outside the corpus,
+    which Task B never scores, is only checked."""
     shapes = {doc.table_id: (doc.n_rows, doc.n_cols) for doc in docs}
 
-    def check(obj):
+    def mask_of(obj):
         runs = corpus.json_field(obj, "relevant_rle", list, int)
         shape = (corpus.json_field(obj, "n_rows", int), corpus.json_field(obj, "n_cols", int))
         table_id, stmt_id = map(obj.get, corpus.STATEMENT_KEY)
-        table = shapes.get(table_id, shape)
+        table = shapes.get(table_id)
+        if table is None:
+            return evidence.rle_check(runs, *shape)
         if shape != table:
             raise ValueError(f"evidence grid for {(table_id, stmt_id)} is "
                              f"{shape[0]}x{shape[1]}, table is {table[0]}x{table[1]}")
-        evidence.rle_check(runs, *shape)
-        return runs, *shape
+        return evidence.rle_decode(runs, *shape)  # checks the runs before it expands them
 
-    return corpus.read_jsonl(path, check, corpus.STATEMENT_KEY, _Evidence(path))
+    return corpus.read_jsonl(path, mask_of, corpus.STATEMENT_KEY)
 
 
 def cmd_score(args):

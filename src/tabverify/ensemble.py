@@ -61,12 +61,12 @@ class VoteLayer:
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("non-finite layer parameters")
 
-    def save(self, path, config=None):
+    def save(self, path, config):
         obj = {
             "model_names": list(self.model_names),
             "weights": self.weights.tolist(),
             "bias": self.bias.tolist(),
-            "config": asdict(config) if config else None,
+            "config": asdict(config),
         }
         write_json(obj, path)
 
@@ -113,28 +113,26 @@ def predict(layer, features):
 
 
 def _design(examples):
-    """Feature matrix, one-hot targets (CLASS_ORDER columns) and the flat
-    index of each gold entry in the targets, for a list of (feature vector,
-    gold Label)."""
+    """Feature matrix and, for each example, the flat index of its gold
+    class in an (n, 3) matrix of CLASS_ORDER columns, for a list of (feature
+    vector, gold Label)."""
     x = np.asarray([f for f, _ in examples], dtype=float)
     gold = np.asarray([CLASS_ORDER.index(label) for _, label in examples], dtype=np.intp)
-    gold_flat = np.arange(len(gold)) * N_CLASSES + gold
-    y = np.zeros((len(examples), N_CLASSES))
-    y.flat[gold_flat] = 1.0
-    return x, y, gold_flat
+    return x, np.arange(len(gold)) * N_CLASSES + gold
 
 
-def _loss_and_grads(weights, bias, x, y_onehot, gold_flat, l2):
-    # Each reduction gives the floats of the numpy axis reduction that the
-    # tests hold as its reference: the gold probability is taken, not summed
-    # with zeros (a NaN fills its whole softmax row, so the loss is NaN
-    # either way); cumsum adds delta's rows in order, as delta.sum(axis=0)
-    # does, where a 1-D .sum() would add pairwise.
+def _loss_and_grads(weights, bias, x, gold_flat, l2):
+    # Each step gives the floats of the one-hot numpy reference the tests
+    # hold: the gold probability is taken, not summed with zeros (a NaN fills
+    # its whole softmax row, so the loss is NaN either way); 1.0 is subtracted
+    # at the gold entries only, as p - 0.0 is p; cumsum adds delta's rows in
+    # order, as delta.sum(axis=0) does, where a 1-D .sum() would add pairwise.
     n = x.shape[0]
     probs = _softmax(x @ weights.T + bias)
     ce = -np.mean(np.log(np.clip(probs.take(gold_flat), 1e-300, None)))
     loss = ce + l2 * float((weights ** 2).sum())
-    delta = (probs - y_onehot) / n
+    probs.ravel()[gold_flat] -= 1.0  # a view of the fresh C-contiguous matrix
+    delta = probs / n
     grad_w = delta.T @ x + 2 * l2 * weights
     grad_b = np.cumsum(delta.T, axis=1)[:, -1]
     return loss, grad_w, grad_b
@@ -148,7 +146,7 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
     """
     if not examples:
         raise ValueError("no training examples")
-    x, y, gold_flat = _design(examples)
+    x, gold_flat = _design(examples)
     if x.ndim != 2 or x.shape[1] != N_CLASSES * len(model_names):
         raise ValueError(
             f"feature matrix shape {x.shape} inconsistent with "
@@ -159,7 +157,7 @@ def train(examples, config=TrainConfig(), model_names=("model",)):
     trace = []
     for epoch in range(config.epochs):
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, y, gold_flat, config.l2)
+            loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, gold_flat, config.l2)
         if not np.isfinite(loss):
             raise ValueError(f"non-finite loss at epoch {epoch}")
         trace.append(loss)

@@ -33,9 +33,6 @@ class TestLexicalBaseline:
         scores = classify.lexical_baseline(stmt, TableView(table), body_rows(table))
         assert scores[1] > scores[0]
 
-    @pytest.mark.xfail(strict=True, reason="the default abbreviations expand the negation "
-                       "cue 'no' to 'number' before the baseline looks for it; the fix "
-                       "changes score bytes, so it waits for a benchmark change")
     def test_no_is_a_negation_cue_with_default_abbrevs(self):
         table = make_table([["h"], ["alpha beta"]])
         stmt = make_statement("s", "alpha beta no")

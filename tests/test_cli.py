@@ -170,6 +170,28 @@ class TestEndToEnd:
                     str(out), "--trace"]) == 0
         assert out.read_bytes() == (fixtures_dir / "expected" / out.name).read_bytes()
 
+    @pytest.mark.parametrize("word, text", [("alpha", "alpha is big"),
+                                            ("avg", "average is big")],
+                             ids=["plain", "default-abbreviation"])
+    def test_evidence_trace_shows_rule_3(self, tmp_path, word, text):
+        """A word in a header cell and in a body row's first cell fires rule 3
+        at their crossing, and the trace names it there; a cell's abbreviation
+        matches the statement's full form."""
+        (tmp_path / "xml").mkdir()
+        cells = [["name", word, "beta"], [word, "1", "2"], ["gamma", "3", "4"]]
+        rows = "".join("<row>" + "".join(f'<cell text="{c}"/>' for c in row) + "</row>"
+                       for row in cells)
+        (tmp_path / "xml" / "t.xml").write_text(
+            f'<document><table id="t" header_rows="1">{rows}<statements>'
+            f'<statement id="s" text="{text}" type="refuted"/></statements></table></document>')
+        assert run(["parse", str(tmp_path / "xml"), f"{tmp_path}/corpus.jsonl"]) == 0
+        assert run(["evidence", f"{tmp_path}/corpus.jsonl", f"{tmp_path}/evidence.jsonl",
+                    "--use-gold-taskA", "--trace"]) == 0
+        [record] = map(json.loads, (tmp_path / "evidence.jsonl").read_text().splitlines())
+        assert record["trace"] == [[[], ["4"], []],
+                                   [["2", "4"], ["1", "2", "3"], ["2"]],
+                                   [[], ["1"], []]]
+
     def test_predict_on_split_score_file(self, pipeline_dir, tmp_path):
         """One model's scores split across two files predict as the whole file."""
         lines = (pipeline_dir / "scores.jsonl").read_text().splitlines(keepends=True)
@@ -660,22 +682,26 @@ class TestEvidenceShape:
         assert capsys.readouterr().err == message.format(e=path)
         assert peak < 1_000_000, peak
 
-    def test_only_scored_records_are_decoded(self, pipeline_dir, tmp_path, monkeypatch):
-        """`score` decodes an evidence record when Task B scores its
-        statement, once, and never the records of unscored statements (gold
-        Unknown, no gold evidence, table outside the corpus)."""
+    def test_each_corpus_record_is_decoded_once_as_read(self, pipeline_dir, tmp_path,
+                                                         monkeypatch):
+        """`score` decodes each record of a corpus table once, while it reads
+        the file and before Task B scores anything, and never a record of a
+        table outside the corpus."""
         lines = (pipeline_dir / "evidence.jsonl").read_text().splitlines()
         outside = json.dumps({**json.loads(lines[0]), "table_id": "not-in-corpus"})
         path = tmp_path / "evidence.jsonl"
         path.write_text("\n".join(lines + [outside]) + "\n")
-        decode, decoded = evidence.rle_decode, []
+        decode, decoded, before_scoring = evidence.rle_decode, [], []
         monkeypatch.setattr(evidence, "rle_decode",
                             lambda *args: decoded.append(args) or decode(*args))
+        score_task_b = scoring.score_task_b
+        monkeypatch.setattr(scoring, "score_task_b", lambda *args: before_scoring.append(
+            len(decoded)) or score_task_b(*args))
         assert run(["score", "--corpus", f"{pipeline_dir}/corpus.jsonl",
                     "--evidence", str(path), "--out", f"{tmp_path}/report.json"]) == 0
-        scored = json.loads((tmp_path / "report.json").read_text())["task_b"]["per_statement"]
-        assert len(lines) + 1 > len(scored) > 0
-        assert len(decoded) == len(scored)
+        records = [json.loads(line) for line in lines]
+        assert decoded == [(r["relevant_rle"], r["n_rows"], r["n_cols"]) for r in records]
+        assert before_scoring == [len(records)]
 
 
 XML_ATTRIBUTE = re.compile(r'(\w+)="[^"]*"')
