@@ -108,6 +108,14 @@ MUTANTS = [
      None),
     ("src/tabverify/corpus.py", '[len(" ".join(row).split()) for row in doc.grid]',
      "[len(row) for row in doc.grid]", None),
+    # a streamed corpus without its duplicate table_id check
+    ("src/tabverify/corpus.py", "        seen.add(key)\n", "", None),
+    # a streamed stage holding every table of the corpus
+    ("src/tabverify/cli.py",
+     "for key, view, st in _each_statement(corpus.iter_corpus(args.corpus), abbrevs):",
+     "for key, view, st in _each_statement(list(corpus.iter_corpus(args.corpus)), abbrevs):",
+     None),
+    ("src/tabverify/corpus.py", 'itertools.chain(chunks, ["\\n"])', "chunks", None),
 ]
 
 

@@ -129,25 +129,29 @@ def cmd_augment(args):
     return 0
 
 
+def _body_rows(doc):
+    """What a first pass over the corpus keeps of a table: its id and body rows."""
+    return doc.table_id, doc.body_row_indices
+
+
 def cmd_snapshot(args):
     if args.rows_r is not None and args.rows_r < 1:
         raise ValueError(f"r_rows must be >= 1, got {args.rows_r}")
-    docs = corpus.read_corpus(args.corpus)
     if args.rows_r is None:
+        bodies = dict(corpus.read_corpus(args.corpus, _body_rows))
         with corpus.located(args.corpus, ValueError):
-            args.rows_r = max(1, snapshot.median_row_count(docs))
+            args.rows_r = max(1, snapshot.median_row_count(bodies.values()))
     abbrevs = _load_abbrevs(args.abbrev_file)
     records = (dict(zip(corpus.STATEMENT_KEY, key), rows=list(rows), k=len(rows))
-               for key, view, st in _each_statement(docs, abbrevs)
+               for key, view, st in _each_statement(corpus.iter_corpus(args.corpus), abbrevs)
                for rows in [snapshot.select_snapshot(view, st, args.rows_r, args.ngrams)])
     corpus.write_jsonl(records, args.out)
     return 0
 
 
-def _read_snapshots(path, docs):
-    """Each record's rows.  A record of a corpus table must select body rows
-    of that table."""
-    bodies = {doc.table_id: doc.body_row_indices for doc in docs}
+def _read_snapshots(path, bodies):
+    """Each record's rows.  A record of a table in ``bodies`` (table id ->
+    body rows) must select body rows of that table."""
 
     def rows_of(obj):
         rows = tuple(corpus.json_field(obj, "rows", list, int))
@@ -165,12 +169,12 @@ def _read_snapshots(path, docs):
 
 
 def cmd_baseline(args):
-    docs = corpus.read_corpus(args.corpus)
-    snaps = _read_snapshots(args.snapshots, docs)
+    snaps = _read_snapshots(args.snapshots, dict(corpus.read_corpus(args.corpus, _body_rows)))
     abbrevs = _load_abbrevs(args.abbrev_file)
     classify.write_scores((((args.model_name, *key),
                             classify.lexical_baseline(st, view, snaps[key], args.ngrams))
-                           for key, view, st in _each_statement(docs, abbrevs)), args.out)
+                           for key, view, st in _each_statement(
+                               corpus.iter_corpus(args.corpus), abbrevs)), args.out)
     return 0
 
 
@@ -224,12 +228,11 @@ def cmd_evidence(args):
     if args.use_gold_taska == bool(args.predictions):
         raise ValueError("evidence requires a predictions file or --use-gold-taskA"
                          + (", not both" if args.use_gold_taska else ""))
-    docs = corpus.read_corpus(args.corpus)
     labels = None if args.use_gold_taska else _read_predictions(args.predictions)
     abbrevs = _load_abbrevs(args.abbrev_file)
 
     def records():
-        for key, view, st in _each_statement(docs, abbrevs):
+        for key, view, st in _each_statement(corpus.iter_corpus(args.corpus), abbrevs):
             label = st.gold_label if labels is None else labels[key]
             rec = dict(zip(corpus.STATEMENT_KEY, key), n_rows=view.n_rows, n_cols=view.n_cols)
             relevant = 0  # no rule fires on Unknown, but its record keeps scoring's coverage

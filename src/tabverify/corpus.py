@@ -1,7 +1,8 @@
 """Canonical table/statement model, XML parsing, corpus statistics, and the
 file boundary: the one JSON-lines reader and writer every pipeline file goes
 through.  A corpus file holds one interchange record per table and has no
-codec of its own: ``read_corpus`` and ``write_corpus`` go through them too.
+codec of its own: ``read_corpus`` (a list), ``iter_corpus`` (one table at a
+time, so one grid alive) and ``write_corpus`` go through them too.
 
 Every table is built and checked by ``make_document``, and every
 interchange line is decoded by ``from_interchange``.  ``located`` is the
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 import json
 import os
 import re
@@ -257,14 +259,12 @@ class Records(dict):
         raise SchemaError(f"{self.path}: no record for {key}")
 
 
-def read_jsonl(path, convert, key, records=None):
-    """Map each record's ``key`` fields (strings) to ``convert(record)``, in
-    file order, skipping blank lines, into ``records`` (new Records of
-    ``path`` if not given), and return them.  A key already there, from this
-    file or an earlier one, and every BAD_INPUT error are raised as
-    ``SchemaError("path:line: reason")``."""
-    if records is None:
-        records = Records(path)
+def _each_record(path, convert, key, seen):
+    """Yield each record's ``key`` fields (strings) and ``convert(record)``,
+    in file order, skipping blank lines: the one loop that reads a JSON-lines
+    file.  A key in ``seen``, which the caller fills as it takes records,
+    and every BAD_INPUT error are raised as ``SchemaError("path:line:
+    reason")``."""
     with open(path, "rb") as fh, located(path) as at:
         for at.line, line in enumerate(fh, 1):
             if not line.strip():
@@ -273,10 +273,20 @@ def read_jsonl(path, convert, key, records=None):
             if not isinstance(obj, dict):
                 raise SchemaError(f"expected a JSON object, got {reprlib.repr(obj)}")
             record_key = tuple([json_field(obj, name, str) for name in key])
-            if record_key in records:
+            if record_key in seen:
                 raise SchemaError(f"duplicate {key[0]} {record_key[0]!r}" if len(key) == 1
                                   else f"duplicate record for {record_key}")
-            records[record_key] = convert(obj)
+            yield record_key, convert(obj)
+
+
+def read_jsonl(path, convert, key, records=None):
+    """Map each record's key to ``convert(record)`` into ``records`` (new
+    Records of ``path`` if not given) and return them.  A key already there,
+    from this file or an earlier one, is a duplicate."""
+    if records is None:
+        records = Records(path)
+    for record_key, value in _each_record(path, convert, key, records):
+        records[record_key] = value
     return records
 
 
@@ -311,8 +321,11 @@ def write_jsonl(records, path):
 
 
 def write_json(obj, path):
-    """Write one indented JSON document with sorted keys."""
-    _write_atomic([(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")], path)
+    """Write one indented JSON document with sorted keys, the bytes of
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, chunk by chunk
+    rather than joined first."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    _write_atomic(map(str.encode, itertools.chain(chunks, ["\n"])), path)
 
 
 def _statement_to_json(st):
@@ -378,6 +391,15 @@ def read_corpus(path, keep=None):
     returns, so that only one line's grid is alive at a time."""
     convert = from_interchange if keep is None else lambda obj: keep(from_interchange(obj))
     return list(read_jsonl(path, convert, ("table_id",)).values())
+
+
+def iter_corpus(path):
+    """Yield a corpus's TableDocuments one line at a time, with the checks
+    and errors of ``read_corpus``."""
+    seen = set()
+    for key, doc in _each_record(path, from_interchange, ("table_id",), seen):
+        seen.add(key)
+        yield doc
 
 
 def write_corpus(docs, path):

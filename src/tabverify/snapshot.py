@@ -6,15 +6,16 @@ from __future__ import annotations
 from . import textnorm
 
 
-def median_row_count(corpus):
-    """Median body-row count across the corpus.
+def median_row_count(bodies):
+    """Median body-row count across a corpus, given each table's body rows
+    (its ``body_row_indices``).
 
     Even-length medians take the lower of the two middle values, so the
     result is always an attained row count.
     """
-    if not corpus:
+    if not bodies:
         raise ValueError("median_row_count requires a non-empty corpus")
-    counts = sorted(len(doc.body_row_indices) for doc in corpus)
+    counts = sorted(map(len, bodies))
     return counts[(len(counts) - 1) // 2]
 
 

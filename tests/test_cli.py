@@ -17,9 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import tabverify
 from conftest import FIXTURES, make_statement, make_table
 from run_fixture_pipeline import run_pipeline
-from tabverify import classify, cli, corpus, ensemble, evidence, scoring
-from tabverify.corpus import (Label, Statement, TableDocument, parse_xml, read_corpus,
-                              write_corpus)
+from tabverify import classify, cli, corpus, ensemble, evidence, scoring, snapshot
+from tabverify.corpus import (Label, Statement, TableDocument, iter_corpus, parse_xml,
+                              read_corpus, write_corpus)
 
 
 def run(argv):
@@ -592,28 +592,36 @@ class TestMutatedInputs:
             (code, stderr.getvalue())
 
 
+def documents_alive():
+    gc.collect()
+    return sum(isinstance(obj, TableDocument) for obj in gc.get_objects())
+
+
+def documents_alive_at(monkeypatch, calls):
+    """The list that gets the number of TableDocuments alive at each call of
+    each ``(module, name)`` of ``calls``; a corpus read keeping grids fails."""
+    def refuse(path, keep=None):
+        if keep is None:
+            raise AssertionError("the corpus was read with its grids")
+        return read_corpus(path, keep)
+    monkeypatch.setattr("tabverify.corpus.read_corpus", refuse)
+    alive = []
+    for module, name in calls:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=fn: alive.append(documents_alive()) or fn(*args))
+    return alive
+
+
 class TestStatementRead:
     def test_train_and_score_hold_no_document(self, pipeline_dir, fixtures_dir, tmp_path,
                                               monkeypatch):
         """`stats`, `ensemble-train` and `score` hold no TableDocument, grid
         and all, while they count, train and score, and write the frozen
         outputs."""
-        def documents_alive():
-            gc.collect()
-            return sum(isinstance(obj, TableDocument) for obj in gc.get_objects())
-
-        def count_on_call(fn):
-            return lambda *args: alive.append(documents_alive()) or fn(*args)
-
-        def refuse(path, keep=None):
-            if keep is None:
-                raise AssertionError("the corpus was read with its grids")
-            return read_corpus(path, keep)
-        monkeypatch.setattr("tabverify.corpus.read_corpus", refuse)
-        alive = []
-        for module, name in [(corpus, "corpus_stats"), (ensemble, "train"),
-                             (scoring, "score_task_a"), (scoring, "score_task_b")]:
-            monkeypatch.setattr(module, name, count_on_call(getattr(module, name)))
+        alive = documents_alive_at(monkeypatch, [
+            (corpus, "corpus_stats"), (ensemble, "train"),
+            (scoring, "score_task_a"), (scoring, "score_task_b")])
         before = documents_alive()
         w = pipeline_dir
         assert run(["stats", f"{w}/corpus.jsonl", "--out", f"{tmp_path}/stats.json"]) == 0
@@ -626,19 +634,52 @@ class TestStatementRead:
             assert ((tmp_path / name).read_bytes()
                     == (fixtures_dir / "expected" / name).read_bytes()), name
 
+    def test_streamed_stages_hold_one_document(self, pipeline_dir, fixtures_dir, tmp_path,
+                                               monkeypatch):
+        """`snapshot`, `baseline` and `evidence` hold one TableDocument at a
+        time while they select, score and find evidence, and write the
+        frozen outputs."""
+        alive = documents_alive_at(monkeypatch, [
+            (snapshot, "select_snapshot"), (classify, "lexical_baseline"),
+            (evidence, "find_evidence")])
+        before = documents_alive()
+        w, o = pipeline_dir, tmp_path
+        assert run(["snapshot", f"{w}/corpus.jsonl", f"{o}/snapshots.jsonl"]) == 0
+        assert run(["baseline", f"{w}/corpus.jsonl", f"{w}/snapshots.jsonl",
+                    f"{o}/scores.jsonl"]) == 0
+        assert run(["evidence", f"{w}/corpus.jsonl", f"{w}/preds.jsonl",
+                    f"{o}/evidence.jsonl"]) == 0
+        assert alive and max(alive) == before + 1
+        for name in ["snapshots.jsonl", "scores.jsonl", "evidence.jsonl"]:
+            assert ((tmp_path / name).read_bytes()
+                    == (fixtures_dir / "expected" / name).read_bytes()), name
+
     def test_pipeline_reads_corpus_through_one_reader(self, fixtures_dir, tmp_path,
                                                       monkeypatch):
-        """Each of the seven stage reads of the corpus is a `read_corpus`
-        call, and the three stages that hold no grid pass `keep`."""
-        keeps = []
+        """Every stage read of the corpus is a `read_corpus` list or an
+        `iter_corpus` stream.  `augment` alone lists whole documents; `stats`,
+        `ensemble-train`, `score` and the first passes of `snapshot` and
+        `baseline` list what `keep` returns; `snapshot`, `baseline` and
+        `evidence` stream the documents."""
+        reads = []
 
-        def counting(path, *keep):
-            keeps.append(keep)
+        def listing(path, *keep):
+            reads.append("keep" if keep else "list")
             return read_corpus(path, *keep)
-        monkeypatch.setattr("tabverify.corpus.read_corpus", counting)
+
+        def streaming(path):
+            reads.append("stream")
+            return iter_corpus(path)
+        monkeypatch.setattr("tabverify.corpus.read_corpus", listing)
+        monkeypatch.setattr("tabverify.corpus.iter_corpus", streaming)
         run_pipeline(fixtures_dir / "corpus", tmp_path)
-        assert len(keeps) == 7
-        assert sum(map(len, keeps)) == 3
+        assert reads == ["keep",  # stats
+                         "list",  # augment
+                         "keep", "stream",  # snapshot
+                         "keep", "stream",  # baseline
+                         "keep",  # ensemble-train
+                         "stream",  # evidence
+                         "keep"]  # score
 
     def test_train_holds_no_statement(self, pipeline_dir, tmp_path, monkeypatch):
         """`ensemble-train` keeps only the gold labels while it trains."""
@@ -941,24 +982,34 @@ class TestBadOptions:
     @pytest.mark.parametrize("argv, side", [
         (BASELINE, "snapshots.jsonl"),
         (EVIDENCE, "preds.jsonl"),
-    ], ids=["baseline", "evidence"])
+        (["snapshot", "--rows-R=2", "{w}/corpus.jsonl", "{w}/snapshots2.jsonl"], "corpus.jsonl"),
+        (BASELINE, "corpus.jsonl"),
+        (EVIDENCE, "corpus.jsonl"),
+    ], ids=["baseline", "evidence", "snapshot-corpus", "baseline-corpus", "evidence-corpus"])
     def test_failure_mid_stream_keeps_old_output(self, pipeline_dir, tmp_path, capsys,
                                                  argv, side):
-        """The side file lacks the corpus's last statement, so the stage
-        fails after writing every other record: the old output stays."""
+        """The side file lacks the corpus's last statement, or the corpus's
+        last line is bad, so the stage fails, when it streams after writing
+        every other record: the old output stays."""
         work = tmp_path / "work"
         shutil.copytree(pipeline_dir, work)
-        last = read_corpus(work / "corpus.jsonl")[-1]
-        key = (last.table_id, last.statements[-1].stmt_id)
         lines = (work / side).read_text("utf-8").splitlines(keepends=True)
-        kept = [line for line in lines
-                if tuple(map(json.loads(line).get, ("table_id", "stmt_id"))) != key]
-        assert len(kept) == len(lines) - 1
+        if side == "corpus.jsonl":
+            rewrite, reason = BAD_CORPUS_LINE["grid-type"]
+            lines[-1] = rewrite(lines[-1]) + "\n"
+            kept, message = lines, f"{work / side}:{len(lines)}: {reason}"
+        else:
+            last = read_corpus(work / "corpus.jsonl")[-1]
+            key = (last.table_id, last.statements[-1].stmt_id)
+            kept = [line for line in lines
+                    if tuple(map(json.loads(line).get, ("table_id", "stmt_id"))) != key]
+            assert len(kept) == len(lines) - 1
+            message = f"{work / side}: no record for {key}"
         (work / side).write_text("".join(kept), "utf-8")
         argv = [a.format(w=work) for a in argv]
         pathlib.Path(argv[-1]).write_bytes(b"old\n")
         assert run(argv) == 2
-        assert capsys.readouterr().err == f"error: {work / side}: no record for {key}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert pathlib.Path(argv[-1]).read_bytes() == b"old\n"
         assert not list(work.glob("*.tmp"))
 

@@ -4,7 +4,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from tabverify import corpus as cp
 from conftest import documents, make_statement, make_table
@@ -166,11 +166,16 @@ def corpus_line(path, doc):
 
 
 def read_error(path, text):
-    """The message of the SchemaError that reading a corpus file of ``text`` raises."""
+    """The message of the SchemaError that reading a corpus file of ``text``
+    raises, the same from ``read_corpus`` and ``iter_corpus``."""
     path.write_text(text, "utf-8")
-    with pytest.raises(cp.SchemaError) as exc:
-        cp.read_corpus(path)
-    return str(exc.value)
+    messages = []
+    for read in (cp.read_corpus, lambda path: list(cp.iter_corpus(path))):
+        with pytest.raises(cp.SchemaError) as exc:
+            read(path)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    return messages[0]
 
 
 class TestInterchange:
@@ -263,6 +268,25 @@ class TestReadStatements:
             assert cp.read_corpus(path, cp.TableStatements.of) == [statements_of(doc)]
 
 
+class TestIterCorpus:
+    @given(st.lists(documents(), max_size=4, unique_by=lambda doc: doc.table_id))
+    def test_yields_what_read_corpus_reads(self, docs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "corpus.jsonl"
+            cp.write_corpus(docs, path)
+            assert list(cp.iter_corpus(path)) == cp.read_corpus(path) == docs
+
+    def test_duplicate_table_id_after_the_tables_before_it(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        cp.write_corpus([make_table([["a"]], table_id=t) for t in ("t1", "t2")], path)
+        lines = path.read_text("utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[:1]), "utf-8")
+        tables = cp.iter_corpus(path)
+        assert [next(tables).table_id, next(tables).table_id] == ["t1", "t2"]
+        with pytest.raises(cp.SchemaError, match=re.escape(f"{path}:3: duplicate table_id 't1'")):
+            next(tables)
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "out.jsonl"
@@ -300,6 +324,24 @@ class TestAtomicWrite:
         cp.write_json({"b": 1, "a": "\u00e9"}, path)
         assert path.read_bytes() == b'{\n  "a": "\\u00e9",\n  "b": 1\n}\n'
         assert list(tmp_path.iterdir()) == [path]
+
+
+# Every JSON value: nested dicts and lists, empty ones too, floats with NaN
+# and infinities, and text and keys beyond ASCII.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestWriteJson:
+    @given(json_values)
+    def test_writes_the_bytes_of_json_dumps(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "out.json"
+            cp.write_json(obj, path)
+            assert path.read_bytes() == (
+                json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 class TestCorpusStats:

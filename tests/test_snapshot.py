@@ -45,7 +45,7 @@ def brute_force_rows(table, statement, r_rows, n_values=(1, 2)):
 
 class TestMedianRowCount:
     def _corpus(self, body_counts):
-        return [table_with_rows(n) for n in body_counts]
+        return [table_with_rows(n).body_row_indices for n in body_counts]
 
     def test_odd(self):
         assert median_row_count(self._corpus([3, 7, 9])) == 7
@@ -62,7 +62,7 @@ class TestMedianRowCount:
 
     def test_headers_excluded(self):
         # 3 grid rows, 1 header -> 2 body rows
-        assert median_row_count([table_with_rows(2)]) == 2
+        assert median_row_count([table_with_rows(2).body_row_indices]) == 2
 
 
 class TestSelectSnapshot:
