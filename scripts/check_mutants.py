@@ -19,6 +19,10 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# The docstring of cli.process_main, which a mutant below spans.
+ENTRY_DOC = ('    """``main()`` as a process\'s entry point: it freezes the collector '
+             'on the way out."""\n')
+
 # (file, text, replacement, why a survivor is accepted or None).  Each one
 # changes a rule the paper or the README states, unless its reason says
 # it is equivalent.
@@ -116,6 +120,18 @@ MUTANTS = [
      "for key, view, st in _each_statement(list(corpus.iter_corpus(args.corpus)), abbrevs):",
      None),
     ("src/tabverify/corpus.py", 'itertools.chain(chunks, ["\\n"])', "chunks", None),
+    # the freeze moved from the process entry point into main
+    ("src/tabverify/cli.py",
+     "        return 2\n\n\ndef process_main():\n" + ENTRY_DOC
+     + "    try:\n        return main()\n    finally:\n        gc.freeze()\n",
+     "        return 2\n    finally:\n        gc.freeze()\n\n\ndef process_main():\n" + ENTRY_DOC
+     + "    return main()\n", None),
+    # the freeze dropped from the process entry point
+    ("src/tabverify/cli.py", "    finally:\n        gc.freeze()\n", "    finally:\n        pass\n",
+     None),
+    # the XML parser loaded with the module, by every stage
+    ("src/tabverify/corpus.py", "import reprlib\n",
+     "import reprlib\nimport xml.etree.ElementTree as ET\n", None),
 ]
 
 

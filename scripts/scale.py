@@ -11,7 +11,11 @@ runs as its own ``python -m tabverify.cli`` process on this checkout's
 holds each stage's wall time and peak RSS (``ru_maxrss`` from
 ``os.wait4``), the pipeline's (the stages' summed wall time and their
 largest peak), the sha256 of every output, the ``src/`` line count and the
-Python version.
+Python version.  ``setup`` holds the same two figures for one
+``python -m tabverify.cli --help`` process, run before the stages: the fixed
+cost of starting and ending a process.  ``dont_write_bytecode`` says whether
+the stages ran with the bytecode cache off (``PYTHONDONTWRITEBYTECODE``), in
+which case each one compiles ``src/tabverify`` again.
 
 A child's ``ru_maxrss`` starts at this process's own peak, since exec
 keeps the high-water mark of the memory it replaces.  So this process
@@ -85,17 +89,19 @@ def bench(tables, seed):
         subprocess.run([sys.executable, "-c", GENERATE, WORKLOAD, str(tables), str(seed),
                         str(workdir / "xml")], cwd=BENCHMARKS, check=True)
         stages = {}
-        for stage, argv in stage_argvs(workdir / "xml", workdir):
+        for stage, argv in [("setup", ["--help"]), *stage_argvs(workdir / "xml", workdir)]:
             wall, peak, code = run_stage(argv, env, workdir)
             if code:
                 err = (workdir / "stage.stderr").read_text("utf-8", "replace")
                 raise RuntimeError(f"stage {stage} exited {code}:\n{err}")
             stages[stage] = {"wall_s": wall, "peak_rss_mb": peak}
+        setup = stages.pop("setup")
         import checks  # hashlib adds about 4 MB to the peak: only after the last stage
         outputs = checks.digests(workdir)
     own_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
         "workload": WORKLOAD, "tables": tables, "seed": seed,
+        "setup": setup,
         "stages": stages,
         "pipeline": {"wall_s": sum(s["wall_s"] for s in stages.values()),
                      "peak_rss_mb": max(s["peak_rss_mb"] for s in stages.values())},
@@ -105,6 +111,7 @@ def bench(tables, seed):
         "src_lines": sum(len(path.read_text("utf-8").splitlines())
                          for path in SRC.rglob("*.py")),
         "python": platform.python_version(),
+        "dont_write_bytecode": bool(env.get("PYTHONDONTWRITEBYTECODE")),
         "cpu_count": os.cpu_count(),
     }
 

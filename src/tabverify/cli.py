@@ -9,12 +9,17 @@ and timestamp.  Reruns with identical inputs and flags produce identical
 outputs (manifest timestamp aside).
 
 Log level comes from the TABFACT_KIT_LOG environment variable.
+
+A process enters through ``process_main``, which freezes the collector on
+its way out, so the collection at interpreter shutdown has nothing to walk.
+``main`` called in-process freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import logging
 import os
 import sys
@@ -389,5 +394,13 @@ def main(argv=None):
         return 2
 
 
+def process_main():
+    """``main()`` as a process's entry point: it freezes the collector on the way out."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

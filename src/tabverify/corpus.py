@@ -40,7 +40,6 @@ import json
 import os
 import re
 import reprlib
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 INTERCHANGE_VERSION = 1
@@ -169,6 +168,8 @@ def _text(elem):
 
 def parse_xml(data):
     """Parse one XML table document, bytes or str, into a TableDocument."""
+    import xml.etree.ElementTree as ET  # here, so only `parse` loads pyexpat
+
     try:
         root = ET.fromstring(data)
     except (ET.ParseError, LookupError, ValueError) as exc:

@@ -67,6 +67,68 @@ class TestLogLevel:
         assert capsys.readouterr() == ("", "error: TABFACT_KIT_LOG: Unknown level: 'BOGUS'\n")
 
 
+# Runs one entry point as its process would, then prints the exit code and
+# whether the collector was frozen when the entry point returned.
+ENTRY_POINT = """
+import gc, importlib, runpy, sys
+sys.argv[1:] = {argv!r}
+try:
+    {call}
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0)
+"""
+
+
+def entry_point_call(script):
+    """The statement that enters the CLI as ``python -m tabverify.cli`` does,
+    or as the ``tabverify`` script that pyproject.toml declares does."""
+    if not script:
+        return 'runpy.run_module("tabverify.cli", run_name="__main__", alter_sys=True)'
+    pyproject = (FIXTURES.parent.parent / "pyproject.toml").read_text("utf-8")
+    module, name = re.search(r'^tabverify = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    return f"sys.exit(importlib.import_module({module!r}).{name}())"
+
+
+class TestProcessExit:
+    """A CLI process freezes the collector on its way out, however ``main``
+    ends, so the shutdown collection has nothing to walk; ``main`` called
+    in-process freezes nothing."""
+
+    def test_main_in_process_freezes_nothing(self, fixtures_dir, capsys):
+        before = gc.get_freeze_count()
+        assert run(["stats", str(fixtures_dir / "expected" / "corpus.jsonl")]) == 0
+        with pytest.raises(SystemExit):
+            run(["--help"])
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("script", [False, True], ids=["module", "console-script"])
+    @pytest.mark.parametrize("argv, code", [
+        (["stats", "{corpus}"], 0),
+        (["stats", "{missing}"], 2),
+        (["--help"], 0),
+    ], ids=["exit-0", "exit-2", "help"])
+    def test_entry_point_freezes_on_exit(self, fixtures_dir, tmp_path, script, argv, code):
+        root = fixtures_dir.parent.parent
+        argv = [arg.format(corpus=fixtures_dir / "expected" / "corpus.jsonl",
+                           missing=tmp_path / "missing.jsonl") for arg in argv]
+        wrapper = ENTRY_POINT.format(argv=argv, call=entry_point_call(script))
+        proc = subprocess.run([sys.executable, "-c", wrapper],
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{code} True"
+
+    def test_stage_process_delivers_its_whole_stdout(self, fixtures_dir, capsys):
+        corpus_path = str(fixtures_dir / "expected" / "corpus.jsonl")
+        assert run(["stats", corpus_path]) == 0
+        expected = capsys.readouterr().out
+        assert len(expected.splitlines()) == 7
+        env = dict(os.environ, PYTHONPATH=str(fixtures_dir.parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-m", "tabverify.cli", "stats", corpus_path],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
 class TestParse:
     def test_fixture_dir(self, fixtures_dir, tmp_path):
         out = tmp_path / "corpus.jsonl"
@@ -833,6 +895,17 @@ class TestManifest:
         assert proc.returncode == 0, proc.stderr
         before, after = proc.stdout.split()
         assert after == before, proc.stdout
+
+    def test_cli_import_does_not_load_the_xml_parser(self, fixtures_dir):
+        """Only ``parse`` reads XML, so importing the CLI loads neither
+        ElementTree nor ``pyexpat`` (about 0.4 MB of every other stage's peak)."""
+        code = ("import sys; import tabverify.cli; "
+                "print(*[m in sys.modules for m in ('xml.etree.ElementTree', 'pyexpat')])")
+        env = dict(os.environ, PYTHONPATH=str(fixtures_dir.parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
 
 class TestFixtureScript:

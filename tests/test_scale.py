@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -28,9 +29,9 @@ def bench_20(tmp_path_factory):
 
 class TestScale:
     def test_records_every_field(self, bench_20):
-        assert set(bench_20) == {"workload", "tables", "seed", "stages", "pipeline",
+        assert set(bench_20) == {"workload", "tables", "seed", "setup", "stages", "pipeline",
                                  "outputs_sha256", "own_peak_rss_mb", "flagged",
-                                 "src_lines", "python", "cpu_count"}
+                                 "src_lines", "python", "dont_write_bytecode", "cpu_count"}
         assert (bench_20["workload"], bench_20["tables"], bench_20["seed"]) == ("typical", 20, 1)
         stages = bench_20["stages"]
         assert list(stages) == list(STAGES)
@@ -44,6 +45,15 @@ class TestScale:
             len(path.read_text("utf-8").splitlines())
             for path in (ROOT / "src").rglob("*.py"))
         assert bench_20["python"] == platform.python_version()
+        assert bench_20["dont_write_bytecode"] == bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+
+    def test_records_the_fixed_cost_of_a_process(self, bench_20):
+        """`setup` is one `--help` process, timed like a stage and kept out
+        of the pipeline's figures."""
+        setup = bench_20["setup"]
+        assert set(setup) == {"wall_s", "peak_rss_mb"}
+        assert setup["wall_s"] > 0 and setup["peak_rss_mb"] > 0
+        assert "setup" not in bench_20["stages"]
 
     def test_flags_stages_at_or_below_its_own_peak(self, bench_20):
         """Under pytest the script starts at pytest's peak, which may flag every stage."""
