@@ -101,7 +101,6 @@ MUTANTS = [
     ("src/tabverify/ensemble.py", "epochs: int = 200", "epochs: int = 199", None),
     ("src/tabverify/corpus.py", "exc.filename in (None, tmp)", "True", None),
     ("src/tabverify/cli.py", "textnorm.TableView(doc, abbrevs)", "textnorm.TableView(doc)", None),
-    ("src/tabverify/corpus.py", "keep(from_interchange(obj))", "from_interchange(obj)", None),
     ("src/tabverify/textnorm.py", "if key in table:", "if False:", None),
     ("src/tabverify/cli.py", '(os.environ.get("TABFACT_KIT_LOG") or "WARNING")',
      'os.environ.get("TABFACT_KIT_LOG", "WARNING")', None),
@@ -120,6 +119,20 @@ MUTANTS = [
      "for key, view, st in _each_statement(list(corpus.iter_corpus(args.corpus)), abbrevs):",
      None),
     ("src/tabverify/corpus.py", 'itertools.chain(chunks, ["\\n"])', "chunks", None),
+    # the first pass of `snapshot` holding every table while the second streams
+    ("src/tabverify/cli.py",
+     "bodies = [doc.body_row_indices for doc in corpus.iter_corpus(args.corpus)]",
+     "docs = list(corpus.iter_corpus(args.corpus))\n"
+     "        bodies = [doc.body_row_indices for doc in docs]", None),
+    # `score` holding every table, grid and all, while it scores
+    ("src/tabverify/cli.py",
+     "list(map(corpus.TableStatements.of, corpus.iter_corpus(args.corpus)))",
+     "list(corpus.iter_corpus(args.corpus))", None),
+    # `stats` listing the stream before it counts
+    ("src/tabverify/corpus.py", "    for doc in docs:\n        row_counts",
+     "    for doc in list(docs):\n        row_counts", None),
+    ("src/tabverify/cli.py", "if not args.model_name:", "if False:", None),
+    ("src/tabverify/ensemble.py", "if len(set(self.model_names)) < m:", "if False:", None),
     # the freeze moved from the process entry point into main
     ("src/tabverify/cli.py",
      "        return 2\n\n\ndef process_main():\n" + ENTRY_DOC

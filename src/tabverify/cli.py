@@ -101,7 +101,7 @@ def cmd_parse(args):
 
 
 def cmd_stats(args):
-    stats = corpus.corpus_stats(corpus.read_corpus(args.corpus, corpus.table_counts))
+    stats = corpus.corpus_stats(corpus.iter_corpus(args.corpus))
     lines = [
         f"{'tables':<22}{stats['table_count']}",
         f"{'entailed':<22}{stats['entailed']}",
@@ -134,18 +134,13 @@ def cmd_augment(args):
     return 0
 
 
-def _body_rows(doc):
-    """What a first pass over the corpus keeps of a table: its id and body rows."""
-    return doc.table_id, doc.body_row_indices
-
-
 def cmd_snapshot(args):
     if args.rows_r is not None and args.rows_r < 1:
         raise ValueError(f"r_rows must be >= 1, got {args.rows_r}")
     if args.rows_r is None:
-        bodies = dict(corpus.read_corpus(args.corpus, _body_rows))
+        bodies = [doc.body_row_indices for doc in corpus.iter_corpus(args.corpus)]
         with corpus.located(args.corpus, ValueError):
-            args.rows_r = max(1, snapshot.median_row_count(bodies.values()))
+            args.rows_r = max(1, snapshot.median_row_count(bodies))
     abbrevs = _load_abbrevs(args.abbrev_file)
     records = (dict(zip(corpus.STATEMENT_KEY, key), rows=list(rows), k=len(rows))
                for key, view, st in _each_statement(corpus.iter_corpus(args.corpus), abbrevs)
@@ -174,7 +169,10 @@ def _read_snapshots(path, bodies):
 
 
 def cmd_baseline(args):
-    snaps = _read_snapshots(args.snapshots, dict(corpus.read_corpus(args.corpus, _body_rows)))
+    if not args.model_name:  # every reader of a score file rejects an empty model
+        raise ValueError("model name must be non-empty")
+    bodies = {doc.table_id: doc.body_row_indices for doc in corpus.iter_corpus(args.corpus)}
+    snaps = _read_snapshots(args.snapshots, bodies)
     abbrevs = _load_abbrevs(args.abbrev_file)
     classify.write_scores((((args.model_name, *key),
                             classify.lexical_baseline(st, view, snaps[key], args.ngrams))
@@ -186,7 +184,7 @@ def cmd_baseline(args):
 def cmd_ensemble_train(args):
     # Keep the labels only: no Statement stays in memory while training.
     gold = {(doc.table_id, st.stmt_id): st.gold_label
-            for doc in corpus.read_corpus(args.corpus, corpus.TableStatements.of)
+            for doc in corpus.iter_corpus(args.corpus)
             for st in doc.statements}
     scores, model_names = classify.read_scores(args.scores)
     examples = [(ensemble.assemble_features(scores[key], model_names), gold[key])
@@ -278,7 +276,7 @@ def _read_evidence(path, docs):
 def cmd_score(args):
     if not (args.preds or args.evidence):
         raise ValueError("score requires --preds or --evidence")
-    docs = corpus.read_corpus(args.corpus, corpus.TableStatements.of)
+    docs = list(map(corpus.TableStatements.of, corpus.iter_corpus(args.corpus)))
     args.average = "micro" if args.micro else "macro"
     report = {}
     if args.preds:

@@ -1,13 +1,14 @@
 """Canonical table/statement model, XML parsing, corpus statistics, and the
 file boundary: the one JSON-lines reader and writer every pipeline file goes
 through.  A corpus file holds one interchange record per table and has no
-codec of its own: ``read_corpus`` (a list), ``iter_corpus`` (one table at a
-time, so one grid alive) and ``write_corpus`` go through them too.
+codec of its own: ``iter_corpus`` yields one table at a time, so one grid
+is alive, and every stage takes what it needs from the stream;
+``read_corpus`` is its list.  ``write_corpus`` writes one.
 
 Every table is built and checked by ``make_document``, and every
 interchange line is decoded by ``from_interchange``.  ``located`` is the
-one place that names the file and line of rejected input.  Statistics
-fold each table's ``table_counts``, so ``stats`` holds no grid.
+one place that names the file and line of rejected input.  ``corpus_stats``
+folds each table as it arrives, so ``stats`` holds no grid.
 
 XML schema (one table per file):
 
@@ -386,21 +387,18 @@ def from_interchange(obj):
     )
 
 
-def read_corpus(path, keep=None):
-    """Read a corpus: one interchange line per table, table ids unique.  Each
-    table's TableDocument is kept, or with ``keep`` what ``keep(doc)``
-    returns, so that only one line's grid is alive at a time."""
-    convert = from_interchange if keep is None else lambda obj: keep(from_interchange(obj))
-    return list(read_jsonl(path, convert, ("table_id",)).values())
-
-
 def iter_corpus(path):
-    """Yield a corpus's TableDocuments one line at a time, with the checks
-    and errors of ``read_corpus``."""
+    """Yield a corpus's TableDocuments one line at a time: one interchange
+    line per table, table ids unique."""
     seen = set()
     for key, doc in _each_record(path, from_interchange, ("table_id",), seen):
         seen.add(key)
         yield doc
+
+
+def read_corpus(path):
+    """The list of a corpus's TableDocuments, as ``iter_corpus`` yields them."""
+    return list(iter_corpus(path))
 
 
 def write_corpus(docs, path):
@@ -413,26 +411,19 @@ def _minmaxmean(values):
     return max(values), min(values), sum(values) / len(values)
 
 
-def table_counts(doc):
-    """What ``corpus_stats`` keeps of a table: its row count, each row's
-    token count and each statement's ``(token count, label)``.  Tokens are
-    split on whitespace: a row's from the concatenation of its cell texts."""
-    return (doc.n_rows, [len(" ".join(row).split()) for row in doc.grid],
-            [(len(st.text.split()), st.gold_label) for st in doc.statements])
-
-
-def corpus_stats(tables):
-    """Descriptive statistics over the ``table_counts`` of a corpus's
-    tables: the dict that ``stats.json`` holds."""
+def corpus_stats(docs):
+    """Descriptive statistics of a corpus's tables, folded one table at a
+    time: the dict that ``stats.json`` holds.  Tokens are split on
+    whitespace: a row's from the concatenation of its cell texts."""
     labels = {label.value: 0 for label in Label}
     stmt_tokens, row_tokens, row_counts = [], [], []
-    for n_rows, rows, statements in tables:
-        row_counts.append(n_rows)
-        row_tokens += rows
-        for tokens, label in statements:
-            stmt_tokens.append(tokens)
-            if label is not None:
-                labels[label.value] += 1
+    for doc in docs:
+        row_counts.append(doc.n_rows)
+        row_tokens += [len(" ".join(row).split()) for row in doc.grid]
+        for st in doc.statements:
+            stmt_tokens.append(len(st.text.split()))
+            if st.gold_label is not None:
+                labels[st.gold_label.value] += 1
     stats = {"table_count": len(row_counts), **labels}
     for name, values in [("stmt_tokens", stmt_tokens), ("row_tokens", row_tokens),
                          ("row_count", row_counts)]:

@@ -17,6 +17,7 @@ logits differ in the last bits, and a near tie could flip.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -53,6 +54,8 @@ class VoteLayer:
         m = len(self.model_names)
         if m < 1:
             raise ValueError("at least one model required")
+        if len(set(self.model_names)) < m:
+            raise ValueError(f"model names repeat: {reprlib.repr(list(self.model_names))}")
         if self.weights.shape != (N_CLASSES, N_CLASSES * m):
             raise ValueError(
                 f"weights must be {N_CLASSES}x{N_CLASSES * m}, got {self.weights.shape}")

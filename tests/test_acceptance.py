@@ -48,7 +48,7 @@ def test_corpus_stats_fixture_exact(fixtures_dir):
     start = time.perf_counter()
     docs = [cp.parse_xml(p.read_bytes())
             for p in sorted((fixtures_dir / "corpus").glob("*.xml"))]
-    stats = cp.corpus_stats(map(cp.table_counts, docs))
+    stats = cp.corpus_stats(docs)
     # hand-enumerated from the 5 fixture XML files
     assert stats["table_count"] == 5
     assert (stats["entailed"], stats["refuted"], stats["unknown"]) == (5, 6, 3)

@@ -553,11 +553,14 @@ class TestJsonlBoundary:
         (lambda layer: json.dumps({k: v for k, v in layer.items() if k != "bias"}),
          "missing field 'bias'"),
         (lambda layer: json.dumps({**layer, "model_names": []}), "at least one model required"),
+        (lambda layer: json.dumps({**layer, "model_names": ["lexical", "lexical"],
+                                   "weights": [row * 2 for row in layer["weights"]]}),
+         "model names repeat: ['lexical', 'lexical']"),
         (lambda layer: json.dumps({**layer, "bias": [0.0, float("nan"), 0.0]}),
          "non-finite layer parameters"),
         (lambda layer: "[" * 100_000, DEEP_JSON),
     ], ids=["invalid-json", "missing-weights", "missing-model-names", "missing-bias",
-            "no-models", "nan-bias", "nested-too-deep"])
+            "no-models", "repeated-model", "nan-bias", "nested-too-deep"])
     def test_bad_layer_file_reports_path(self, fixtures_dir, tmp_path, capsys,
                                          rewrite, message):
         run_pipeline(fixtures_dir / "corpus", tmp_path)
@@ -661,11 +664,9 @@ def documents_alive():
 
 def documents_alive_at(monkeypatch, calls):
     """The list that gets the number of TableDocuments alive at each call of
-    each ``(module, name)`` of ``calls``; a corpus read keeping grids fails."""
-    def refuse(path, keep=None):
-        if keep is None:
-            raise AssertionError("the corpus was read with its grids")
-        return read_corpus(path, keep)
+    each ``(module, name)`` of ``calls``; a corpus read as a list fails."""
+    def refuse(path):
+        raise AssertionError("the corpus was read as a list")
     monkeypatch.setattr("tabverify.corpus.read_corpus", refuse)
     alive = []
     for module, name in calls:
@@ -718,16 +719,15 @@ class TestStatementRead:
 
     def test_pipeline_reads_corpus_through_one_reader(self, fixtures_dir, tmp_path,
                                                       monkeypatch):
-        """Every stage read of the corpus is a `read_corpus` list or an
-        `iter_corpus` stream.  `augment` alone lists whole documents; `stats`,
-        `ensemble-train`, `score` and the first passes of `snapshot` and
-        `baseline` list what `keep` returns; `snapshot`, `baseline` and
-        `evidence` stream the documents."""
+        """Every stage read of the corpus is an `iter_corpus` stream, and
+        `augment` alone lists it, through `read_corpus`, which streams it
+        too.  `snapshot` and `baseline` stream it twice: a first pass for
+        the body rows, then the documents."""
         reads = []
 
-        def listing(path, *keep):
-            reads.append("keep" if keep else "list")
-            return read_corpus(path, *keep)
+        def listing(path):
+            reads.append("list")
+            return read_corpus(path)
 
         def streaming(path):
             reads.append("stream")
@@ -735,13 +735,13 @@ class TestStatementRead:
         monkeypatch.setattr("tabverify.corpus.read_corpus", listing)
         monkeypatch.setattr("tabverify.corpus.iter_corpus", streaming)
         run_pipeline(fixtures_dir / "corpus", tmp_path)
-        assert reads == ["keep",  # stats
-                         "list",  # augment
-                         "keep", "stream",  # snapshot
-                         "keep", "stream",  # baseline
-                         "keep",  # ensemble-train
+        assert reads == ["stream",  # stats
+                         "list", "stream",  # augment
+                         "stream", "stream",  # snapshot
+                         "stream", "stream",  # baseline
+                         "stream",  # ensemble-train
                          "stream",  # evidence
-                         "keep"]  # score
+                         "stream"]  # score
 
     def test_train_holds_no_statement(self, pipeline_dir, tmp_path, monkeypatch):
         """`ensemble-train` keeps only the gold labels while it trains."""
@@ -994,6 +994,18 @@ class TestBadOptions:
                     "--out", f"{tmp_path}/layer.json", *option]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_baseline_empty_model_name(self, tmp_path, capsys):
+        """Every reader of a score file rejects an empty model name, so
+        `baseline` does, before it reads its inputs (here missing): the old
+        output stays."""
+        out = tmp_path / "scores.jsonl"
+        out.write_bytes(b"old\n")
+        assert run(["baseline", f"{tmp_path}/corpus.jsonl", f"{tmp_path}/snapshots.jsonl",
+                    str(out), "--model-name", ""]) == 2
+        assert capsys.readouterr().err == "error: model name must be non-empty\n"
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == b"old\n"
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_augment_guard_threshold_not_finite(self, pipeline_dir, tmp_path, capsys,
                                                 threshold):
@@ -1058,12 +1070,19 @@ class TestBadOptions:
         (["snapshot", "--rows-R=2", "{w}/corpus.jsonl", "{w}/snapshots2.jsonl"], "corpus.jsonl"),
         (BASELINE, "corpus.jsonl"),
         (EVIDENCE, "corpus.jsonl"),
-    ], ids=["baseline", "evidence", "snapshot-corpus", "baseline-corpus", "evidence-corpus"])
+        ([*STATS, "--out", "{w}/stats2.json"], "corpus.jsonl"),
+        (["ensemble-train", "{w}/scores.jsonl", "--corpus", "{w}/corpus.jsonl",
+          "--out", "{w}/layer2.json"], "corpus.jsonl"),
+        (["score", "--corpus", "{w}/corpus.jsonl", "--preds", "{w}/preds.jsonl",
+          "--evidence", "{w}/evidence.jsonl", "--out", "{w}/report2.json"], "corpus.jsonl"),
+    ], ids=["baseline", "evidence", "snapshot-corpus", "baseline-corpus", "evidence-corpus",
+            "stats-corpus", "ensemble-train-corpus", "score-corpus"])
     def test_failure_mid_stream_keeps_old_output(self, pipeline_dir, tmp_path, capsys,
                                                  argv, side):
         """The side file lacks the corpus's last statement, or the corpus's
-        last line is bad, so the stage fails, when it streams after writing
-        every other record: the old output stays."""
+        last line is bad, so the stage fails at its last table: after writing
+        every other record in a stage that streams its output, before writing
+        in one that does not.  The old output stays."""
         work = tmp_path / "work"
         shutil.copytree(pipeline_dir, work)
         lines = (work / side).read_text("utf-8").splitlines(keepends=True)

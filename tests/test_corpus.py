@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import pathlib
 import re
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -237,13 +239,18 @@ def statements_of(doc):
     return cp.TableStatements(doc.table_id, doc.n_rows, doc.n_cols, doc.statements)
 
 
+def read_statements(path):
+    """The TableStatements of a corpus file, as `score` reads them."""
+    return list(map(cp.TableStatements.of, cp.iter_corpus(path)))
+
+
 class TestReadStatements:
     @given(documents())
     def test_keeps_what_read_corpus_reads(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "corpus.jsonl"
             cp.write_corpus([doc], path)
-            assert cp.read_corpus(path, cp.TableStatements.of) == [statements_of(doc)]
+            assert read_statements(path) == [statements_of(doc)]
 
     @pytest.mark.parametrize("evidence, error", [
         ([[1, 2]], None),
@@ -261,11 +268,11 @@ class TestReadStatements:
         if error:
             assert read_error(path, line) == f"{path}:1: {error}"
             with pytest.raises(cp.SchemaError, match=re.escape(f"{path}:1: {error}")):
-                cp.read_corpus(path, cp.TableStatements.of)
+                read_statements(path)
         else:
             [doc] = cp.read_corpus(path)
             assert (doc.n_rows, doc.n_cols) == (2, 3)
-            assert cp.read_corpus(path, cp.TableStatements.of) == [statements_of(doc)]
+            assert read_statements(path) == [statements_of(doc)]
 
 
 class TestIterCorpus:
@@ -367,7 +374,7 @@ class TestCorpusStats:
         return [t1, t2]
 
     def test_hand_enumerated_counts(self):
-        stats = cp.corpus_stats(map(cp.table_counts, self.fixture_corpus()))
+        stats = cp.corpus_stats(self.fixture_corpus())
         assert stats["table_count"] == 2
         assert (stats["entailed"], stats["refuted"], stats["unknown"]) == (5, 2, 1)
         # statement token counts: 2,3,1,4,1,2,3,1
@@ -381,17 +388,33 @@ class TestCorpusStats:
         assert (stats["row_count_max"], stats["row_count_min"]) == (3, 2)
 
     def test_empty_corpus_zeroed(self):
-        stats = cp.corpus_stats(map(cp.table_counts, []))
+        stats = cp.corpus_stats([])
         assert stats["table_count"] == 0
         assert stats["stmt_tokens_mean"] == 0
         assert stats["row_count_max"] == 0
 
     def test_permutation_invariant(self):
         docs = self.fixture_corpus()
-        assert (cp.corpus_stats(map(cp.table_counts, docs))
-                == cp.corpus_stats(map(cp.table_counts, reversed(docs))))
+        assert cp.corpus_stats(docs) == cp.corpus_stats(reversed(docs))
 
     def test_max_ge_mean_ge_min(self):
-        stats = cp.corpus_stats(map(cp.table_counts, self.fixture_corpus()))
+        stats = cp.corpus_stats(self.fixture_corpus())
         assert stats["stmt_tokens_max"] >= stats["stmt_tokens_mean"] >= stats["stmt_tokens_min"]
         assert stats["row_tokens_max"] >= stats["row_tokens_mean"] >= stats["row_tokens_min"]
+
+    def test_folds_one_table_at_a_time(self):
+        """A stream of tables is counted as it arrives, not listed first:
+        when the third table is drawn, the first is gone."""
+        drawn = []
+
+        def tables():
+            for table in self.fixture_corpus() * 2:
+                assert all(ref() is None for ref in drawn[:-1]), "a counted table is held"
+                doc = dataclasses.replace(table)  # a copy that only the consumer holds
+                drawn.append(weakref.ref(doc))
+                yield doc
+                del doc
+
+        stats = cp.corpus_stats(tables())
+        assert len(drawn) == 4
+        assert stats == cp.corpus_stats(self.fixture_corpus() * 2)
