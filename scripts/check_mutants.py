@@ -71,8 +71,17 @@ MUTANTS = [
     ("src/tabverify/evidence.py", "for r, c in cells if c == 0 and r in body",
      "for r, c in cells if c <= 1 and r in body", None),
     # the bit layout transposed: bit col * n_cols + row, column-major on a square grid
-    ("src/tabverify/evidence.py", "{1 << r * n_cols + c for r, c in cells}",
+    ("src/tabverify/corpus.py", "{1 << r * n_cols + c for r, c in cells}",
      "{1 << c * n_cols + r for r, c in cells}", None),
+    # gold cells written back column-major
+    ("src/tabverify/corpus.py",
+     '[list(divmod(bit.start(), n_cols)) for bit in re.finditer("1", f"{mask:b}"[::-1])]',
+     'sorted([list(divmod(bit.start(), n_cols)) for bit in re.finditer("1", f"{mask:b}"[::-1])],'
+     " key=lambda cell: cell[::-1])", None),
+    # a document's gold versions kept as the cells it was given
+    ("src/tabverify/corpus.py",
+     "gold_evidence=tuple(cell_mask(v, n_cols) for v in st.gold_evidence)",
+     "gold_evidence=tuple(st.gold_evidence)", None),
     # rule 3 never fires; its cells are inside rules 1 and 2, so only the trace shows it
     ("src/tabverify/evidence.py", 'fired["3"] |= label_rows * header_cols',
      'fired["3"] |= 0', None),

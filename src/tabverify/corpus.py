@@ -5,8 +5,9 @@ codec of its own: ``iter_corpus`` yields one table at a time, so one grid
 is alive, and every stage takes what it needs from the stream;
 ``read_corpus`` is its list.  ``write_corpus`` writes one.
 
-Every table is built and checked by ``make_document``, and every
-interchange line is decoded by ``from_interchange``.  ``located`` is the
+Every table is built and checked by ``make_document``, which turns each gold
+evidence version into its mask (``cell_mask``; ``mask_cells`` inverts it), and
+every interchange line is decoded by ``from_interchange``.  ``located`` is the
 one place that names the file and line of rejected input.  ``corpus_stats``
 folds each table as it arrives, so ``stats`` holds no grid.
 
@@ -41,7 +42,7 @@ import json
 import os
 import re
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 INTERCHANGE_VERSION = 1
 
@@ -72,7 +73,7 @@ class Statement:
     stmt_id: str
     text: str
     gold_label: Label | None = None
-    gold_evidence: tuple | None = None  # per gold version, a frozenset of (row, col)
+    gold_evidence: tuple | None = None  # per version: (row, col) cells; in a doc, its table's mask
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,16 @@ class TableStatements:
         return cls(doc.table_id, doc.n_rows, doc.n_cols, doc.statements)
 
 
+def cell_mask(cells, n_cols):
+    """The mask of ``cells``, ``(row, col)`` pairs: bit ``row * n_cols + col`` per cell."""
+    return sum({1 << r * n_cols + c for r, c in cells})
+
+
+def mask_cells(mask, n_cols):
+    """The ``[row, col]`` cells of ``mask`` in row-major order: the inverse of ``cell_mask``."""
+    return [list(divmod(bit.start(), n_cols)) for bit in re.finditer("1", f"{mask:b}"[::-1])]
+
+
 def _build_grid(rows_text):
     """Pad ragged rows on the right with empty strings."""
     width = max((len(r) for r in rows_text), default=0)
@@ -118,16 +129,15 @@ def _build_grid(rows_text):
 
 
 def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, statements):
-    """Assemble a TableDocument, enforcing all structural invariants."""
+    """Assemble a TableDocument, enforcing its invariants; gold versions become masks."""
     if not table_id:
         raise SchemaError("missing table id")
     if header_rows < 0:
         raise SchemaError("header_rows must be >= 0")
-    doc = TableDocument(doc_id, table_id, caption, legend, _build_grid(rows_text),
-                        header_rows, tuple(statements))
-    n_rows, n_cols = doc.n_rows, doc.n_cols
-    seen = set()
-    for st in doc.statements:
+    grid = _build_grid(rows_text)
+    n_rows, n_cols = len(grid), len(grid[0]) if grid else 0
+    seen, checked = set(), []
+    for st in statements:
         if not st.stmt_id:
             raise SchemaError(f"statement without id in table {table_id!r}")
         if st.stmt_id in seen:
@@ -144,7 +154,10 @@ def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, sta
                     raise SchemaError(
                         f"statement {st.stmt_id!r} evidence cell ({r!r}, {c!r}) out of bounds"
                     )
-    return doc
+        if st.gold_evidence is not None:
+            st = replace(st, gold_evidence=tuple(cell_mask(v, n_cols) for v in st.gold_evidence))
+        checked.append(st)
+    return TableDocument(doc_id, table_id, caption, legend, grid, header_rows, tuple(checked))
 
 
 _INT = re.compile(r"-?[0-9]+")  # int() also takes "1_0", " 2 ", "\u0663"
@@ -197,7 +210,7 @@ def parse_xml(data):
             if st.get("type") is not None:
                 label = Label.parse(st.get("type"))
             versions = tuple(
-                frozenset((_int_attr(c, "row"), _int_attr(c, "col")) for c in ev.findall("cell"))
+                [(_int_attr(c, "row"), _int_attr(c, "col")) for c in ev.findall("cell")]
                 for ev in st.findall("evidence"))
             statements.append(Statement(
                 stmt_id=st.get("id"),
@@ -330,13 +343,13 @@ def write_json(obj, path):
     _write_atomic(map(str.encode, itertools.chain(chunks, ["\n"])), path)
 
 
-def _statement_to_json(st):
+def _statement_to_json(st, n_cols):
     return {
         "stmt_id": st.stmt_id,
         "text": st.text,
         "label": st.gold_label.value if st.gold_label else None,
         "evidence": (
-            [sorted([r, c] for r, c in cells) for cells in st.gold_evidence]
+            [mask_cells(mask, n_cols) for mask in st.gold_evidence]
             if st.gold_evidence is not None else None
         ),
     }
@@ -350,8 +363,7 @@ def _statement_from_json(obj):
         text=json_field(obj, "text", str),
         gold_label=None if label is None else Label.parse(label),
         gold_evidence=None if evidence is None else tuple(
-            frozenset((r, c) for r, c in version)
-            for version in json_field(obj, "evidence", list, list)),
+            [(r, c) for r, c in version] for version in json_field(obj, "evidence", list, list)),
     )
 
 
@@ -364,7 +376,7 @@ def _document_to_json(doc):
         "legend": doc.legend,
         "grid": doc.grid,
         "header_rows": doc.header_rows,
-        "statements": [_statement_to_json(st) for st in doc.statements],
+        "statements": [_statement_to_json(st, doc.n_cols) for st in doc.statements],
     }
 
 

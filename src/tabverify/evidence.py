@@ -1,8 +1,8 @@
 """Evidence-cell rule engine: given a statement, a table's ``TableView`` and
-the statement's verdict, find the relevant cells.  A cell set is a mask, an
-``int`` with bit ``row * n_cols + col`` set per cell; only this module writes
-that layout.  ``rle_encode`` and ``rle_decode`` convert a mask to and from
-the run-length form that evidence files hold.
+the statement's verdict, find the relevant cells.  A cell set is a mask of
+``corpus.cell_mask``'s layout: an ``int`` with bit ``row * n_cols + col`` set
+per cell.  ``rle_encode`` and ``rle_decode`` convert a mask to and from the
+run-length form that evidence files hold.
 
 An Entailed verdict short-circuits to all-relevant.  Otherwise four rules
 fire off the statement's normalized word bag, matched by exact token
@@ -25,14 +25,9 @@ import itertools
 import re
 
 from . import textnorm
-from .corpus import Label
+from .corpus import Label, cell_mask
 
 ALL_ENTAILED = "all-entailed"
-
-
-def cell_mask(cells, n_cols):
-    """The mask of ``cells``, ``(row, col)`` pairs of a grid ``n_cols`` wide."""
-    return sum({1 << r * n_cols + c for r, c in cells})
 
 
 def find_evidence(statement, view, taska_label):

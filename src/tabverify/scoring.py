@@ -1,9 +1,9 @@
 """Shared-task scoring.  ``score_task_a`` scores Task A labels as 3-way F1
 and as 2-way F1 with the unknown penalty, macro- or micro-averaged over the
 classes, in one walk of the corpus.  ``score_task_b`` scores Task B
-predictions, cell masks (see ``evidence``), as cell-level F1 against
-multi-version ground truth.  Both return the plain dicts that
-``report.json`` holds.
+predictions, cell masks (see ``corpus.cell_mask``), as cell-level F1
+against multi-version ground truth, masks too.  Both return the plain
+dicts that ``report.json`` holds.
 
 All metrics average per table first, then across tables.  Precision,
 recall and F1 are 0 when their denominator is 0.  No score is taken with
@@ -17,7 +17,6 @@ a plain dict raises KeyError.
 
 from __future__ import annotations
 
-from . import evidence
 from .corpus import Label
 from .classify import CLASS_ORDER
 
@@ -107,8 +106,7 @@ def score_task_b(pred_maps, gold_corpus):
                 continue
             key = (doc.table_id, st.stmt_id)
             pred = pred_maps[key]
-            golds = (evidence.cell_mask(cells, doc.n_cols) for cells in st.gold_evidence)
-            best = max((_cell_prf(pred, gold) for gold in golds), key=lambda prf: prf[2])
+            best = max([_cell_prf(pred, g) for g in st.gold_evidence], key=lambda prf: prf[2])
             name = f"{doc.table_id}/{st.stmt_id}"
             if name in per_statement:
                 raise ScoringError(f"statement {key} and an earlier one share the key {name!r}")

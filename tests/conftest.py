@@ -19,10 +19,9 @@ def make_table(rows, table_id="t", header_rows=1, statements=(), doc_id="d",
 
 
 def make_statement(stmt_id, text, label=None, evidence=None):
-    versions = None
-    if evidence is not None:
-        versions = tuple(frozenset(v) for v in evidence)
-    return Statement(stmt_id, text, label, versions)
+    """A Statement whose gold versions are ``evidence``, each any collection
+    of ``(row, col)`` cells: ``make_document`` turns each into its mask."""
+    return Statement(stmt_id, text, label, None if evidence is None else tuple(evidence))
 
 
 def mask_of(cells, n_cols):

@@ -1,8 +1,10 @@
 """The benchmark's pinned pipelines in tier-1: each workload of
 ``benchmarks/gen_corpus.py`` at seed 1, run through every stage of
-``benchmarks/pipeline.py`` by ``cli.main``, writes outputs whose sha256 are
-the ones ``benchmarks/digests.json`` pins.  The benchmark modules are
-imported as they are and never changed."""
+``benchmarks/pipeline.py`` by ``cli.main``, passes every check of
+``benchmarks/checks.py``, whose oracle re-derives snapshots, evidence and
+Task A F1 without ``src/``, and writes outputs whose sha256 are the ones
+``benchmarks/digests.json`` pins.  The benchmark modules are imported as
+they are and never changed."""
 
 import json
 import os
@@ -15,23 +17,30 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
 
-# Runs in a fresh process, since the hash seed is fixed at start-up.  Prints
+# Runs in a fresh process, since the hash seed is fixed at start-up.  Exits
+# with the name and detail of every failed check, else prints
 # {workload: {output name: sha256}} for every output but the manifests.
 PIPELINES = """
 import hashlib, json, pathlib, sys
-import gen_corpus, pipeline
+import checks, gen_corpus, pipeline
 from tabverify import cli
+from tabverify.textnorm import default_abbrevs, normalize
 
-digests = {}
+abbrevs = default_abbrevs()
+digests, failed = {}, []
 for workload in sorted(gen_corpus.WORKLOADS):
     xml_dir, work = (pathlib.Path(sys.argv[1], workload, d) for d in ("xml", "work"))
     gen_corpus.write_corpus_dir(workload, 1, xml_dir)
     work.mkdir()
     for stage, argv in pipeline.stage_argvs(xml_dir, work):
         assert cli.main(argv) == 0, (workload, stage)
+    failed += [f"{workload}: {name}: {detail}" for name, ok, detail in checks.check_outputs(
+        work, 1, lambda text: normalize(text, abbrevs), pipeline.AUGMENT_RATIO) if not ok]
     digests[workload] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                          for path in work.iterdir()
                          if not path.name.endswith(".manifest.json")}
+if failed:
+    sys.exit("\\n".join(failed))
 print(json.dumps(digests))
 """
 
@@ -48,7 +57,7 @@ def test_pipelines_write_pinned_outputs(tmp_path, hash_seed):
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(BENCHMARKS)]))
     proc = subprocess.run([sys.executable, "-c", PIPELINES, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
-    if proc.returncode:  # not an AssertionError, so the xfail case cannot pass on a crash
+    if proc.returncode:  # a crash or a failed check: not an AssertionError, so no xfail
         pytest.fail(proc.stderr)
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got == json.loads((BENCHMARKS / "digests.json").read_text("utf-8"))

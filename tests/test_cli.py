@@ -399,6 +399,8 @@ BAD_CORPUS_LINE = {
                         "field 'statements' must be list of dict, got None"),
     "evidence-cell-bool": (set_first_evidence([[True, 0]]),
                            "statement 's1' evidence cell (True, 0) out of bounds"),
+    "evidence-cell-list": (set_first_evidence([[[0], 1]]),
+                           "statement 's1' evidence cell ([0], 1) out of bounds"),
     "cell-not-string": (set_cell(1, 2, 7), "sequence item 2: expected str instance, int found"),
     "evidence-cell-past-last-column": (set_first_evidence([[0, 3]]),
                                        "statement 's1' evidence cell (0, 3) out of bounds"),

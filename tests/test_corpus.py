@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tabverify import corpus as cp
-from conftest import documents, make_statement, make_table
+from conftest import cells_of, corpus_bytes, documents, make_statement, make_table, mask_of
 
 SIMPLE_XML = b"""
 <document id="d1">
@@ -89,7 +89,7 @@ class TestParseXml:
             b'<statements><statement id="s" text="x" type="entailed">'
             b'<evidence><cell row="0" col="1"/></evidence>'
             b'</statement></statements></table></document>')
-        assert doc.statements[0].gold_evidence[0] == {(0, 1)}
+        assert doc.statements[0].gold_evidence == (0b10,)
 
     def test_out_of_bounds_evidence(self):
         with pytest.raises(cp.SchemaError, match="out of bounds"):
@@ -185,6 +185,42 @@ class TestInterchange:
     def test_round_trip_identity(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             assert round_trip(doc, pathlib.Path(tmp) / "corpus.jsonl") == doc
+
+    @given(documents())
+    def test_gold_versions_are_masks(self, doc):
+        """Every gold version of a built or decoded document is the int mask
+        of its cells, written back as them in row-major order; a corpus
+        written, read and written again keeps its bytes."""
+        n_cols = doc.n_cols
+        versions = [None if s.gold_evidence is None else
+                    [sorted(cells_of(mask, n_cols)) for mask in s.gold_evidence]
+                    for s in doc.statements]
+        # the same cells as lists, each one twice, in reverse order
+        rebuilt = make_table(doc.grid, doc.table_id, doc.header_rows, [
+            make_statement(s.stmt_id, s.text, s.gold_label, None if v is None else
+                           [[list(cell) for cell in cells[::-1] * 2] for cells in v])
+            for s, v in zip(doc.statements, versions)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "corpus.jsonl"
+            written = corpus_bytes([rebuilt], path)
+            [decoded] = cp.read_corpus(path)
+            assert corpus_bytes([decoded], path) == written
+        assert [s["evidence"] for s in json.loads(written)["statements"]] == [
+            None if v is None else [list(map(list, cells)) for cells in v] for v in versions]
+        masks = [None if v is None else tuple(mask_of(cells, n_cols) for cells in v)
+                 for v in versions]
+        for built in (doc, rebuilt, decoded):
+            assert [s.gold_evidence for s in built.statements] == masks
+            assert all(type(mask) is int for s in built.statements
+                       for mask in s.gold_evidence or ())
+
+    def test_gold_cells_written_once_in_row_major_order(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        line = corpus_line(path, make_table([["a", "b"], ["c", "d"]], statements=[
+            make_statement("s", "x", cp.Label.ENTAILED, [{(0, 0)}])]))
+        line = line.replace('"evidence": [[[0, 0]]]', '"evidence": [[[1, 0], [0, 1], [0, 1]]]')
+        path.write_text(line, "utf-8")
+        assert b'"evidence": [[[0, 1], [1, 0]]]' in corpus_bytes(cp.read_corpus(path), path)
 
     def test_empty_caption_preserved(self, tmp_path):
         doc = make_table([["a"]], caption="")

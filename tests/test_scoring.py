@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tabverify import scoring
 from tabverify.corpus import Label, Records, SchemaError
-from conftest import make_statement, make_table, mask_of
+from conftest import cells_of, make_statement, make_table, mask_of
 
 E, R, U = Label.ENTAILED, Label.REFUTED, Label.UNKNOWN
 
@@ -87,7 +87,7 @@ def naive_task_b(pred_sets, gold_corpus):
             pred = pred_sets[(doc.table_id, st.stmt_id)]
             best = 0.0
             for version in st.gold_evidence:
-                gold = set(version)
+                gold = cells_of(version, doc.n_cols)
                 tp = len(pred & gold)
                 best = max(best, naive_prf(tp, len(pred) - tp, len(gold) - tp))
             stmt_scores.append(best)
