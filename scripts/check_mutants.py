@@ -80,8 +80,8 @@ MUTANTS = [
      " key=lambda cell: cell[::-1])", None),
     # a document's gold versions kept as the cells it was given
     ("src/tabverify/corpus.py",
-     "gold_evidence=tuple(cell_mask(v, n_cols) for v in st.gold_evidence)",
-     "gold_evidence=tuple(st.gold_evidence)", None),
+     "versions = tuple([cell_mask(cells, n_cols) for cells in versions])",
+     "versions = tuple(versions)", None),
     # rule 3 never fires; its cells are inside rules 1 and 2, so only the trace shows it
     ("src/tabverify/evidence.py", 'fired["3"] |= label_rows * header_cols',
      'fired["3"] |= 0', None),

@@ -17,6 +17,13 @@ cost of starting and ending a process.  ``dont_write_bytecode`` says whether
 the stages ran with the bytecode cache off (``PYTHONDONTWRITEBYTECODE``), in
 which case each one compiles ``src/tabverify`` again.
 
+After the timed stages, a counting pass runs each stage once more in its own
+process, under cProfile, and ``counts`` holds for each stage the calls it
+made (``total_calls``, Python and builtin, within ``cli.main``) and the
+collections per generation its process made (``gc.get_stats()`` as
+``main`` returns).  Unlike the wall times, these repeat exactly from run to
+run, so one run per side shows a change in work.
+
 A child's ``ru_maxrss`` starts at this process's own peak, since exec
 keeps the high-water mark of the memory it replaces.  So this process
 hashes outputs in chunks and records its own peak, and ``flagged`` lists
@@ -56,6 +63,23 @@ shape = gen_corpus.WORKLOADS[workload]
 gen_corpus.WORKLOADS[workload] = dataclasses.replace(shape, tables=tables)
 gen_corpus.write_corpus_dir(workload, seed, out_dir)
 """
+# One stage under cProfile: argv[1] is the file for its counts, the rest the
+# stage's argv.  The calls are summed over the profiler's own entries:
+# pstats keys them by file, line and name, so it would keep one of the
+# functions that share all three (every dataclass's generated __init__),
+# whichever comes last in an order that varies from run to run.
+COUNT = """
+import cProfile, gc, sys
+from tabverify import cli
+profile = cProfile.Profile()
+code = profile.runcall(cli.main, sys.argv[2:])
+collections = [generation["collections"] for generation in gc.get_stats()]
+import json
+with open(sys.argv[1], "w") as fh:
+    json.dump({"total_calls": sum(entry.callcount for entry in profile.getstats()),
+               "collections": collections}, fh)
+sys.exit(code)
+"""
 
 
 def _table_counts(spec):
@@ -80,6 +104,21 @@ def run_stage(argv, env, workdir):
     return wall, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status)
 
 
+def count_stage(argv, env, workdir):
+    """Run one stage again under cProfile: (its counts, exit code)."""
+    out = workdir / "counts.json"
+    with open(workdir / "stage.stderr", "wb") as err:
+        code = subprocess.run([sys.executable, "-c", COUNT, str(out), *argv],
+                              stdout=subprocess.DEVNULL, stderr=err, env=env,
+                              cwd=ROOT).returncode
+    return (None if code else json.loads(out.read_text("utf-8"))), code
+
+
+def _failed(stage, code, workdir):
+    err = (workdir / "stage.stderr").read_text("utf-8", "replace")
+    return RuntimeError(f"stage {stage} exited {code}:\n{err}")
+
+
 def bench(tables, seed):
     """The BENCH record of one scaled run; raises RuntimeError when a stage fails."""
     env = dict(os.environ, PYTHONHASHSEED=HASH_SEED,
@@ -88,21 +127,27 @@ def bench(tables, seed):
         workdir = Path(tmp)
         subprocess.run([sys.executable, "-c", GENERATE, WORKLOAD, str(tables), str(seed),
                         str(workdir / "xml")], cwd=BENCHMARKS, check=True)
+        argvs = stage_argvs(workdir / "xml", workdir)
         stages = {}
-        for stage, argv in [("setup", ["--help"]), *stage_argvs(workdir / "xml", workdir)]:
+        for stage, argv in [("setup", ["--help"]), *argvs]:
             wall, peak, code = run_stage(argv, env, workdir)
             if code:
-                err = (workdir / "stage.stderr").read_text("utf-8", "replace")
-                raise RuntimeError(f"stage {stage} exited {code}:\n{err}")
+                raise _failed(stage, code, workdir)
             stages[stage] = {"wall_s": wall, "peak_rss_mb": peak}
         setup = stages.pop("setup")
         import checks  # hashlib adds about 4 MB to the peak: only after the last stage
         outputs = checks.digests(workdir)
+        counts = {}
+        for stage, argv in argvs:
+            counts[stage], code = count_stage(argv, env, workdir)
+            if code:
+                raise _failed(f"{stage} (counting pass)", code, workdir)
     own_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
         "workload": WORKLOAD, "tables": tables, "seed": seed,
         "setup": setup,
         "stages": stages,
+        "counts": counts,
         "pipeline": {"wall_s": sum(s["wall_s"] for s in stages.values()),
                      "peak_rss_mb": max(s["peak_rss_mb"] for s in stages.values())},
         "outputs_sha256": outputs,

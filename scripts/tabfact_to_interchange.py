@@ -19,8 +19,7 @@ import json
 import pathlib
 import sys
 
-from tabverify.corpus import (Label, SchemaError, Statement, make_document,
-                              write_corpus)
+from tabverify.corpus import Label, SchemaError, make_document, write_corpus
 
 
 def convert(csv_dir, statement_files, out_path):
@@ -39,11 +38,8 @@ def convert(csv_dir, statement_files, out_path):
                 csv_path.read_text("utf-8").splitlines() if line]
         texts, labels = entry[0], entry[1]
         caption = entry[2] if len(entry) > 2 else ""
-        statements = []
-        for i, (text, label) in enumerate(zip(texts, labels)):
-            statements.append(Statement(
-                f"s{i}", text,
-                Label.ENTAILED if label == 1 else Label.REFUTED, None))
+        statements = [(f"s{i}", text, Label.ENTAILED if label == 1 else Label.REFUTED, None)
+                      for i, (text, label) in enumerate(zip(texts, labels))]
         try:
             docs.append(make_document(
                 doc_id=name, table_id=name.removesuffix(".csv"),

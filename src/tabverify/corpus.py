@@ -5,8 +5,9 @@ codec of its own: ``iter_corpus`` yields one table at a time, so one grid
 is alive, and every stage takes what it needs from the stream;
 ``read_corpus`` is its list.  ``write_corpus`` writes one.
 
-Every table is built and checked by ``make_document``, which turns each gold
-evidence version into its mask (``cell_mask``; ``mask_cells`` inverts it), and
+Every table is built and checked by ``make_document``, which takes each
+statement as plain fields and builds its one ``Statement``, each gold
+evidence version as its mask (``cell_mask``; ``mask_cells`` inverts it), and
 every interchange line is decoded by ``from_interchange``.  ``located`` is the
 one place that names the file and line of rejected input.  ``corpus_stats``
 folds each table as it arrives, so ``stats`` holds no grid.
@@ -42,7 +43,7 @@ import json
 import os
 import re
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 INTERCHANGE_VERSION = 1
 
@@ -72,8 +73,8 @@ class Label(enum.Enum):
 class Statement:
     stmt_id: str
     text: str
-    gold_label: Label | None = None
-    gold_evidence: tuple | None = None  # per version: (row, col) cells; in a doc, its table's mask
+    gold_label: Label | None
+    gold_evidence: tuple | None  # per gold version, its mask (``cell_mask``)
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,10 @@ def _build_grid(rows_text):
 
 
 def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, statements):
-    """Assemble a TableDocument, enforcing its invariants; gold versions become masks."""
+    """Assemble a TableDocument, enforcing its invariants.  Each statement
+    comes as plain fields, ``(stmt_id, text, gold_label, versions)``, each
+    gold version a collection of ``(row, col)`` cells; its ``Statement``
+    holds each version as its mask (``cell_mask``)."""
     if not table_id:
         raise SchemaError("missing table id")
     if header_rows < 0:
@@ -137,26 +141,26 @@ def make_document(doc_id, table_id, caption, legend, rows_text, header_rows, sta
     grid = _build_grid(rows_text)
     n_rows, n_cols = len(grid), len(grid[0]) if grid else 0
     seen, checked = set(), []
-    for st in statements:
-        if not st.stmt_id:
+    for stmt_id, text, gold_label, versions in statements:
+        if not stmt_id:
             raise SchemaError(f"statement without id in table {table_id!r}")
-        if st.stmt_id in seen:
-            raise SchemaError(f"duplicate statement id {st.stmt_id!r} in table {table_id!r}")
-        seen.add(st.stmt_id)
-        if not st.text:
-            raise SchemaError(f"statement {st.stmt_id!r} has empty text")
-        for cells in st.gold_evidence or ():
+        if stmt_id in seen:
+            raise SchemaError(f"duplicate statement id {stmt_id!r} in table {table_id!r}")
+        seen.add(stmt_id)
+        if not text:
+            raise SchemaError(f"statement {stmt_id!r} has empty text")
+        for cells in versions or ():
             if not cells:
-                raise SchemaError(f"statement {st.stmt_id!r} has an empty evidence version")
+                raise SchemaError(f"statement {stmt_id!r} has an empty evidence version")
             for r, c in cells:
                 if not (type(r) is int and type(c) is int  # a bool is no index
                         and 0 <= r < n_rows and 0 <= c < n_cols):
                     raise SchemaError(
-                        f"statement {st.stmt_id!r} evidence cell ({r!r}, {c!r}) out of bounds"
+                        f"statement {stmt_id!r} evidence cell ({r!r}, {c!r}) out of bounds"
                     )
-        if st.gold_evidence is not None:
-            st = replace(st, gold_evidence=tuple(cell_mask(v, n_cols) for v in st.gold_evidence))
-        checked.append(st)
+        if versions is not None:
+            versions = tuple([cell_mask(cells, n_cols) for cells in versions])
+        checked.append(Statement(stmt_id, text, gold_label, versions))
     return TableDocument(doc_id, table_id, caption, legend, grid, header_rows, tuple(checked))
 
 
@@ -209,15 +213,9 @@ def parse_xml(data):
             label = None
             if st.get("type") is not None:
                 label = Label.parse(st.get("type"))
-            versions = tuple(
-                [(_int_attr(c, "row"), _int_attr(c, "col")) for c in ev.findall("cell")]
-                for ev in st.findall("evidence"))
-            statements.append(Statement(
-                stmt_id=st.get("id"),
-                text=_text(st),
-                gold_label=label,
-                gold_evidence=versions or None,
-            ))
+            versions = [[(_int_attr(c, "row"), _int_attr(c, "col")) for c in ev.findall("cell")]
+                        for ev in st.findall("evidence")]
+            statements.append((st.get("id"), _text(st), label, versions or None))
 
     return make_document(doc_id, table_id, _text(table.find("caption")),
                          _text(table.find("legend")), rows_text, header_rows, statements)
@@ -356,15 +354,11 @@ def _statement_to_json(st, n_cols):
 
 
 def _statement_from_json(obj):
+    """A statement record's fields, as ``make_document`` takes them."""
     label = obj.get("label")
-    evidence = obj.get("evidence")
-    return Statement(
-        stmt_id=json_field(obj, "stmt_id", str),
-        text=json_field(obj, "text", str),
-        gold_label=None if label is None else Label.parse(label),
-        gold_evidence=None if evidence is None else tuple(
-            [(r, c) for r, c in version] for version in json_field(obj, "evidence", list, list)),
-    )
+    return (json_field(obj, "stmt_id", str), json_field(obj, "text", str),
+            None if label is None else Label.parse(label),
+            None if obj.get("evidence") is None else json_field(obj, "evidence", list, list))
 
 
 def _document_to_json(doc):

@@ -1,10 +1,11 @@
 import pathlib
 import sys
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
-from tabverify.corpus import Label, Statement, make_document, write_corpus
+from tabverify.corpus import Label, make_document, write_corpus
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 # The tests run the fixture pipeline of scripts/run_fixture_pipeline.py.
@@ -13,15 +14,26 @@ sys.path.insert(0, str(FIXTURES.parent.parent / "scripts"))
 
 def make_table(rows, table_id="t", header_rows=1, statements=(), doc_id="d",
                caption="", legend=""):
-    """Build a TableDocument from a list of rows of cell texts."""
+    """Build a TableDocument from a list of rows of cell texts and the
+    fields of its statements (``make_statement``)."""
     return make_document(doc_id, table_id, caption, legend, rows, header_rows,
                          statements)
 
 
+class StatementFields(NamedTuple):
+    """A statement as ``make_document`` takes it, each gold version any
+    collection of ``(row, col)`` cells.  It reads like a ``Statement`` for
+    the stages that take one and read only its id and text."""
+    stmt_id: str
+    text: str
+    gold_label: Label | None
+    versions: list | None
+
+
 def make_statement(stmt_id, text, label=None, evidence=None):
-    """A Statement whose gold versions are ``evidence``, each any collection
-    of ``(row, col)`` cells: ``make_document`` turns each into its mask."""
-    return Statement(stmt_id, text, label, None if evidence is None else tuple(evidence))
+    """The fields of a statement whose gold versions are ``evidence``:
+    ``make_table`` builds its ``Statement``, each version as its mask."""
+    return StatementFields(stmt_id, text, label, evidence)
 
 
 def mask_of(cells, n_cols):

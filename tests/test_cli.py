@@ -401,6 +401,11 @@ BAD_CORPUS_LINE = {
                            "statement 's1' evidence cell (True, 0) out of bounds"),
     "evidence-cell-list": (set_first_evidence([[[0], 1]]),
                            "statement 's1' evidence cell ([0], 1) out of bounds"),
+    "evidence-cell-triple": (set_first_evidence([[0, 1, 2]]),
+                             "too many values to unpack (expected 2)"),
+    "evidence-cell-single": (set_first_evidence([[0]]),
+                             "not enough values to unpack (expected 2, got 1)"),
+    "evidence-cell-int": (set_first_evidence([5]), "cannot unpack non-iterable int object"),
     "cell-not-string": (set_cell(1, 2, 7), "sequence item 2: expected str instance, int found"),
     "evidence-cell-past-last-column": (set_first_evidence([[0, 3]]),
                                        "statement 's1' evidence cell (0, 3) out of bounds"),

@@ -319,6 +319,22 @@ class TestIterCorpus:
             cp.write_corpus(docs, path)
             assert list(cp.iter_corpus(path)) == cp.read_corpus(path) == docs
 
+    def test_builds_one_statement_per_statement(self, fixtures_dir, monkeypatch):
+        """Each statement's Statement is built once, with its gold masks:
+        none is built again to convert its evidence."""
+        built = []
+
+        class Counted(cp.Statement):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.stmt_id)
+
+        monkeypatch.setattr(cp, "Statement", Counted)
+        statements = [st for doc in cp.iter_corpus(fixtures_dir / "expected" / "corpus.jsonl")
+                      for st in doc.statements]
+        assert any(st.gold_evidence for st in statements)
+        assert built == [st.stmt_id for st in statements]
+
     def test_duplicate_table_id_after_the_tables_before_it(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         cp.write_corpus([make_table([["a"]], table_id=t) for t in ("t1", "t2")], path)

@@ -19,17 +19,21 @@ import scale  # noqa: E402
 from pipeline import STAGES  # noqa: E402
 
 
-@pytest.fixture(scope="module")
-def bench_20(tmp_path_factory):
-    out = tmp_path_factory.mktemp("scale")
+def run_scale_20(out):
     subprocess.run([sys.executable, str(ROOT / "scripts" / "scale.py"), "--tables", "20",
                     "--seed", "1"], cwd=out, check=True, capture_output=True)
     return json.loads((out / "BENCH_20.json").read_text("utf-8"))
 
 
+@pytest.fixture(scope="module")
+def bench_20(tmp_path_factory):
+    return run_scale_20(tmp_path_factory.mktemp("scale"))
+
+
 class TestScale:
     def test_records_every_field(self, bench_20):
-        assert set(bench_20) == {"workload", "tables", "seed", "setup", "stages", "pipeline",
+        assert set(bench_20) == {"workload", "tables", "seed", "setup", "stages", "counts",
+                                 "pipeline",
                                  "outputs_sha256", "own_peak_rss_mb", "flagged",
                                  "src_lines", "python", "dont_write_bytecode", "cpu_count"}
         assert (bench_20["workload"], bench_20["tables"], bench_20["seed"]) == ("typical", 20, 1)
@@ -54,6 +58,16 @@ class TestScale:
         assert set(setup) == {"wall_s", "peak_rss_mb"}
         assert setup["wall_s"] > 0 and setup["peak_rss_mb"] > 0
         assert "setup" not in bench_20["stages"]
+
+    def test_counts_repeat_exactly(self, bench_20, tmp_path):
+        """Each stage's calls and collections in the counting pass are the
+        same in a second run."""
+        counts = bench_20["counts"]
+        assert list(counts) == list(STAGES)
+        for figures in counts.values():
+            assert set(figures) == {"total_calls", "collections"}
+            assert figures["total_calls"] > 0 and len(figures["collections"]) == 3
+        assert run_scale_20(tmp_path)["counts"] == counts
 
     def test_flags_stages_at_or_below_its_own_peak(self, bench_20):
         """Under pytest the script starts at pytest's peak, which may flag every stage."""
